@@ -22,6 +22,12 @@
 //!    least 1.5x faster (median over interleaved on/off pairs, so host
 //!    load drift cancels) with fast-forward on.
 //!
+//! Each speedup pair also times a third run with batch windows off
+//! (`max_batch_ticks = 1`, fast-forward on) and the gate prints the
+//! median wall-time ratio of windows-on to windows-off. That ratio is
+//! reported only, with no bound: it shows whether the windows pay for
+//! their proof on an issue-saturated kernel.
+//!
 //! Runs entirely in-process; `cargo xtask ci` invokes it on every host
 //! (unlike the parallel-speedup gate, a single core is enough — the
 //! fast path is about skipping work, not spreading it).
@@ -225,6 +231,7 @@ fn run() -> Result<(), String> {
 
     // --- 3. wall-clock speedup, interleaved pairs.
     let mut ratios = Vec::new();
+    let mut window_ratios = Vec::new();
     for i in 0..SPEEDUP_PAIRS {
         let on = simulate(&config, &mri_q, &mut StaticGovernor, SimOptions::default())?;
         let off = simulate(
@@ -236,15 +243,33 @@ fn run() -> Result<(), String> {
                 ..SimOptions::default()
             },
         )?;
+        let no_windows = simulate(
+            &config,
+            &mri_q,
+            &mut StaticGovernor,
+            SimOptions {
+                max_batch_ticks: 1,
+                ..SimOptions::default()
+            },
+        )?;
         let ratio = off.wall / on.wall.max(1e-9);
+        let window_ratio = on.wall / no_windows.wall.max(1e-9);
         println!(
-            "speedup pair {i}: {:.3}s off / {:.3}s on = {ratio:.2}x",
-            off.wall, on.wall
+            "speedup pair {i}: {:.3}s off / {:.3}s on = {ratio:.2}x; \
+             {:.3}s without windows, on / without = {window_ratio:.2}",
+            off.wall, on.wall, no_windows.wall
         );
         ratios.push(ratio);
+        window_ratios.push(window_ratio);
     }
     ratios.sort_by(|a, b| a.total_cmp(b));
+    window_ratios.sort_by(|a, b| a.total_cmp(b));
     let median = ratios[ratios.len() / 2];
+    println!(
+        "windows: mri-q median wall ratio, default / max_batch_ticks=1: {:.2} \
+         (below 1 means batch windows pay for their proof; reported, not gated)",
+        window_ratios[window_ratios.len() / 2]
+    );
     if median < SPEEDUP_TARGET {
         return Err(format!(
             "serial 15-SM mri-q median speedup {median:.2}x is under the \

@@ -38,7 +38,9 @@
 //! replays the clocks afterwards. In-window commits degenerate to pure
 //! per-SM statistics ([`Sm::account_cycle`]), so the window is exactly
 //! equivalent to `w` per-tick steps (see [`Engine::batched_ticks`] and
-//! the tick-batching test in `tests/parallel_determinism.rs`).
+//! the tick-batching test in `tests/parallel_determinism.rs`). Windows
+//! shorter than [`MIN_WINDOW_TICKS`] are refused: their proof costs
+//! more host time than they save.
 //!
 //! Under [`SimOptions::fast_forward`] (the default) the window proof is
 //! event-driven rather than quiescence-based: the memory system may be
@@ -67,6 +69,19 @@ use crate::pool::{Assignment, SmPool};
 use crate::sm::{Sm, SmLevelEvents};
 use crate::stats::{EpochRecord, InvocationStats, RunStats};
 use crate::telemetry::{BatchClose, BatchWindowStats, PoolStats, WindowBound};
+
+/// The break-even length of a batched window: the engine refuses any
+/// window shorter than this and runs those ticks per-tick instead.
+///
+/// A non-fused window only saves the per-tick commit, drain and engine
+/// bookkeeping, while the proof that opens it can walk every resident
+/// warp on every SM.
+/// Most short windows cost more to prove than they save, so every cap
+/// in the proof is checked against this length first and the warp
+/// scans stop as soon as no horizon can reach it. Picked from an
+/// interleaved sweep over {4, 8, 16}; DESIGN.md §13 records the
+/// numbers.
+pub const MIN_WINDOW_TICKS: u64 = 8;
 
 /// Identifies a clock domain in [`Observer::on_vf_transition`] callbacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -946,13 +961,13 @@ impl<'o> Engine<'o> {
             return Ok(StepEvent::MemCycle);
         }
 
-        // Tick batching: when the engine can prove a window of `w >= 2`
-        // SM cycles is free of cross-SM interaction, it executes the
-        // whole window in one pool dispatch instead of `w` per-tick
-        // hand-offs. See `try_batched_window` for the proof
-        // obligations. Either way the outcome feeds the batch-window
-        // diagnostic: window size and bound on success, close reason on
-        // the per-tick fallback.
+        // Tick batching: when the engine can prove a window of
+        // `w >= MIN_WINDOW_TICKS` SM cycles is free of cross-SM
+        // interaction, it executes the whole window in one pool dispatch
+        // instead of `w` per-tick hand-offs. See `try_batched_window`
+        // for the proof obligations. Either way the outcome feeds the
+        // batch-window diagnostic: window size and bound on success,
+        // close reason on the per-tick fallback.
         match self.try_batched_window() {
             Ok((w, bound, fused)) => {
                 self.batch_stats.record_window(w, bound, fused);
@@ -1135,13 +1150,17 @@ impl<'o> Engine<'o> {
     /// Decides whether the next SM tick can open a batched window, how
     /// long it may run, and whether it can be *fused* (skip the
     /// per-cycle pipeline entirely). Returns `(length, bound, fused)`,
-    /// or the reason no window of at least two ticks is provably free of
-    /// cross-SM interaction (feeding the close-reason breakdown in
-    /// [`BatchWindowStats`]).
+    /// or the reason no window of at least [`MIN_WINDOW_TICKS`] ticks is
+    /// provably free of cross-SM interaction (feeding the close-reason
+    /// breakdown in [`BatchWindowStats`]). Refusing a shorter window is
+    /// always sound — the per-tick path runs instead — so every cap
+    /// below is compared against the break-even length, and the
+    /// per-warp horizon scans stop as soon as they fall under it.
     ///
     /// The proof obligations, checked in cheapest-first order:
     ///
-    /// - shared VRM only, and the `max_batch_ticks` knob allows windows;
+    /// - shared VRM only, and the `max_batch_ticks` knob allows windows
+    ///   of at least [`MIN_WINDOW_TICKS`];
     /// - no VF transition pending on either domain (periods are frozen,
     ///   so every in-window tick time is known up front);
     /// - with [`SimOptions::fast_forward`] off: the memory system is
@@ -1153,6 +1172,10 @@ impl<'o> Engine<'o> {
     ///   so skipping the per-tick `drain_ready` is a no-op;
     /// - the window ends strictly before the next epoch boundary and
     ///   before the cycle-limit check could fire;
+    /// - the invocation cannot end inside it: some SM still holds a
+    ///   block, or the grid still has blocks to dispatch. Neither can
+    ///   change in-window (no block retires), so the termination check
+    ///   the window skips could never have fired;
     /// - every SM admits the window ([`Sm::quiescent`], or the weaker
     ///   [`Sm::batch_ready`] under fast-forward) and its horizon covers
     ///   it: each schedulable warp is at least `w` instructions away
@@ -1168,7 +1191,7 @@ impl<'o> Engine<'o> {
     /// runs as [`Engine::run_fused_window`]; the fused horizon is
     /// preferred whenever it is at least as long as the pool horizon.
     fn try_batched_window(&self) -> Result<(u64, WindowBound, bool), BatchClose> {
-        if self.config.per_sm_vrm || self.options.max_batch_ticks < 2 {
+        if self.config.per_sm_vrm || self.options.max_batch_ticks < MIN_WINDOW_TICKS {
             return Err(BatchClose::Disabled);
         }
         if self.sm_clocks[0].has_pending_transition() || self.mem_clock.has_pending_transition() {
@@ -1200,7 +1223,7 @@ impl<'o> Engine<'o> {
             w = limit_cap;
             bound = WindowBound::LimitCap;
         }
-        if w < 2 {
+        if w < MIN_WINDOW_TICKS {
             return Err(BatchClose::EpochOrCycleCap);
         }
         let first = self.sm_clocks[0].next_tick();
@@ -1210,7 +1233,7 @@ impl<'o> Engine<'o> {
                 .mem
                 .next_event_time(self.mem_clock.next_tick(), self.mem_clock.period_fs());
             let cap = crate::clock::ticks_strictly_before(first, period, t_event);
-            if cap < 2 {
+            if cap < MIN_WINDOW_TICKS {
                 return Err(BatchClose::MemHorizon);
             }
             if cap < w {
@@ -1232,28 +1255,36 @@ impl<'o> Engine<'o> {
                 return Err(BatchClose::SmActive);
             }
         }
+        // Once the grid is fully dispatched and every SM is idle, the
+        // invocation ends on the first tick at which memory is quiescent
+        // — and memory can drain (a store leaving the DRAM queue)
+        // without any event an SM could observe, so the memory horizon
+        // does not bound it. The termination check must see that tick.
+        if self.gwde.drained() && (0..self.pool.num_sms()).all(|i| !self.pool.sm_ref(i).busy()) {
+            return Err(BatchClose::Draining);
+        }
         for i in 0..self.pool.num_sms() {
             let sm = self.pool.sm_ref(i);
             if ff {
-                let (p, f) = sm.window_horizons(first, period);
+                let (p, f) = sm.window_horizons(first, period, MIN_WINDOW_TICKS);
                 wp = wp.min(p);
                 wf = wf.min(f);
-                if wp < 2 && wf < 2 {
+                if wp < MIN_WINDOW_TICKS && wf < MIN_WINDOW_TICKS {
                     return Err(BatchClose::IssueRunway);
                 }
             } else {
-                wp = wp.min(sm.batch_horizon());
-                if wp < 2 {
+                wp = wp.min(sm.batch_horizon(MIN_WINDOW_TICKS));
+                if wp < MIN_WINDOW_TICKS {
                     return Err(BatchClose::IssueRunway);
                 }
             }
         }
-        let (win, fused) = if wf >= 2 && wf >= wp {
+        let (win, fused) = if wf >= MIN_WINDOW_TICKS && wf >= wp {
             (wf, true)
         } else {
             (wp, false)
         };
-        if win < 2 {
+        if win < MIN_WINDOW_TICKS {
             return Err(BatchClose::IssueRunway);
         }
         if win < w {
@@ -1874,6 +1905,50 @@ mod tests {
             e_on.batched_ticks(),
             e_off.batched_ticks()
         );
+    }
+
+    #[test]
+    fn windows_below_break_even_never_open() {
+        let config = small_config();
+        let per_tick = SimOptions {
+            max_batch_ticks: 1,
+            ..SimOptions::default()
+        };
+        for kernel in [stall_kernel(16, 30), alu_kernel(48, 1500)] {
+            let mut engine = Engine::new(&config, &kernel, SimOptions::default()).unwrap();
+            let mut windowed = engine.run(&mut StaticGovernor).unwrap();
+            let w = engine.batch_window_stats();
+            // Bucket i holds windows of 2^(i+1) ..= 2^(i+2) - 1 ticks.
+            for (i, &count) in w.size_histogram.iter().enumerate() {
+                if 1u64 << (i + 2) <= MIN_WINDOW_TICKS {
+                    assert_eq!(count, 0, "{}: short windows in bucket {i}", kernel.name());
+                }
+            }
+            assert!(
+                w.ticks >= w.windows * MIN_WINDOW_TICKS,
+                "{}: {} ticks over {} windows",
+                kernel.name(),
+                w.ticks,
+                w.windows
+            );
+            assert!(
+                engine.batched_ticks() > 0,
+                "{}: no window opened",
+                kernel.name()
+            );
+
+            let mut reference = Engine::new(&config, &kernel, per_tick).unwrap();
+            let mut plain = reference.run(&mut StaticGovernor).unwrap();
+            assert_eq!(reference.batched_ticks(), 0);
+            windowed.batched_ticks = 0;
+            plain.batched_ticks = 0;
+            assert_eq!(
+                windowed,
+                plain,
+                "{}: windows changed results",
+                kernel.name()
+            );
+        }
     }
 
     #[test]

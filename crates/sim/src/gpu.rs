@@ -85,13 +85,18 @@ pub struct SimOptions {
     /// Upper bound on SM ticks per batched window.
     ///
     /// When the engine can prove a window of cycles contains no cross-SM
-    /// interaction (all SMs and the memory system quiescent, no VF
-    /// transition pending, every schedulable warp far enough from its
-    /// next memory access and from program completion), it executes the
-    /// whole window in one dispatch instead of tick by tick. Batching
-    /// never changes simulated results — `tests/parallel_determinism.rs`
-    /// pins bit-identical stats with batching on and off — so this too
-    /// is purely a wall-clock knob. Values below 2 disable batching.
+    /// interaction (no VF transition pending, no memory response able to
+    /// reach an SM inside the window — with [`SimOptions::fast_forward`]
+    /// off, the memory system must be quiescent — every schedulable warp
+    /// far enough from its next memory access and from program
+    /// completion, and the invocation unable to end), it executes the
+    /// whole window in one dispatch instead of tick by tick. Windows
+    /// shorter than [`crate::engine::MIN_WINDOW_TICKS`] are refused:
+    /// proving them costs more host time than they save. Batching never
+    /// changes simulated results — `tests/parallel_determinism.rs` pins
+    /// bit-identical stats with batching on and off — so this too is
+    /// purely a wall-clock knob. Values below
+    /// [`crate::engine::MIN_WINDOW_TICKS`] disable batching.
     pub max_batch_ticks: u64,
     /// Spin iterations before a waiting pool thread parks (workers
     /// waiting for the next dispatch generation) or downgrades to

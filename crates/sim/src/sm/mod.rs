@@ -427,7 +427,11 @@ impl Sm {
     /// neither of which can happen inside a window. Barrier-waiting
     /// warps are included at their already-advanced pc — barrier release
     /// is purely SM-local.
-    pub(crate) fn batch_horizon(&self) -> u64 {
+    ///
+    /// `min` is the shortest window the engine would open: the scan
+    /// stops as soon as the horizon falls below it, since the exact
+    /// value of a refused horizon is never used.
+    pub(crate) fn batch_horizon(&self, min: u64) -> u64 {
         // Belt and braces: a window must never start with unretired
         // blocks (commit always drains them, so this cannot fire after a
         // completed tick).
@@ -453,7 +457,7 @@ impl Sm {
                 continue;
             }
             horizon = horizon.min(program.issue_runway(warp.pc, warp.block_index));
-            if horizon < 2 {
+            if horizon < min {
                 break;
             }
         }
@@ -499,7 +503,11 @@ impl Sm {
     /// loads are otherwise exempt — the engine's memory-event horizon
     /// plus the empty inbox ([`Sm::batch_ready`]) prove no response can
     /// reach them in-window.
-    pub(crate) fn window_horizons(&self, first: Femtos, period_fs: Femtos) -> (u64, u64) {
+    ///
+    /// `min` is the shortest window the engine would open: the scan
+    /// stops as soon as neither horizon can reach it, and the returned
+    /// pair is then only guaranteed to be below `min`.
+    pub(crate) fn window_horizons(&self, first: Femtos, period_fs: Femtos, min: u64) -> (u64, u64) {
         if !self.completed_scratch.is_empty() {
             return (0, 0);
         }
@@ -515,6 +523,9 @@ impl Sm {
         let mut pool_h = lr_cap;
         let mut fused_h = if self.ccws.is_some() { 0 } else { lr_cap };
         for warp in self.warps.iter().flatten() {
+            if pool_h < min && fused_h < min {
+                break;
+            }
             if warp.finished {
                 continue;
             }
@@ -542,9 +553,6 @@ impl Sm {
                 fused_h = fused_h.min(d);
                 pool_h =
                     pool_h.min(d.saturating_add(program.issue_runway(warp.pc, warp.block_index)));
-            }
-            if pool_h < 2 && fused_h < 2 {
-                return (pool_h, fused_h);
             }
         }
         (pool_h, fused_h)

@@ -21,8 +21,10 @@
 //!   recorded unconditionally — the cost is one enum match per SM step.
 
 /// Log2 buckets in [`BatchWindowStats::size_histogram`]: bucket `i`
-/// counts windows of `2^(i+1) ..= 2^(i+2) - 1` ticks (windows are never
-/// shorter than 2), with the last bucket absorbing everything larger.
+/// counts windows of `2^(i+1) ..= 2^(i+2) - 1` ticks, with the last
+/// bucket absorbing everything larger. The engine never opens a window
+/// shorter than [`crate::engine::MIN_WINDOW_TICKS`], so the buckets
+/// below that length stay empty in engine-recorded stats.
 pub const WINDOW_SIZE_BUCKETS: usize = 11;
 
 /// Counters for one pool partition, as maintained by whichever thread
@@ -83,10 +85,17 @@ impl PoolStats {
 
 /// Why an SM tick could not open (or extend) a batched window, in the
 /// order the proof obligations are checked by `Engine`.
+///
+/// The length-based reasons ([`BatchClose::EpochOrCycleCap`],
+/// [`BatchClose::MemHorizon`], [`BatchClose::IssueRunway`]) mean "below
+/// break-even": the bound left room for fewer than
+/// [`crate::engine::MIN_WINDOW_TICKS`] ticks, a window the engine
+/// refuses even when it could prove a shorter one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchClose {
     /// Batching is off for this machine: per-SM VRMs, or the
-    /// `max_batch_ticks` knob is below 2.
+    /// `max_batch_ticks` knob is below
+    /// [`crate::engine::MIN_WINDOW_TICKS`].
     Disabled,
     /// A VF transition is pending on the SM or memory domain, so
     /// in-window tick times cannot be frozen.
@@ -97,18 +106,25 @@ pub enum BatchClose {
     /// close as [`BatchClose::MemHorizon`] instead, and only when the
     /// horizon is genuinely short.
     MemoryActive,
-    /// The memory system's next-event horizon is too short: a response
-    /// could become ready for some SM within any window of at least 2
-    /// ticks ([`crate::memsys::MemSystem::next_event_time`]).
+    /// The memory system's next-event horizon is below break-even: a
+    /// response could become ready for some SM within any window of at
+    /// least [`crate::engine::MIN_WINDOW_TICKS`] ticks
+    /// ([`crate::memsys::MemSystem::next_event_time`]).
     MemHorizon,
     /// The distance to the next epoch boundary or to the cycle-limit
-    /// check leaves no room for a window of at least 2 ticks.
+    /// check is below break-even: it leaves no room for a window of at
+    /// least [`crate::engine::MIN_WINDOW_TICKS`] ticks.
     EpochOrCycleCap,
     /// Some SM is not quiescent (staged access or non-empty queues).
     SmActive,
-    /// Some SM's issue runway ([`crate::sm::Sm::batch_horizon`]) is too
-    /// short: a schedulable warp could reach memory or retire within
-    /// the window.
+    /// The grid is fully dispatched and every SM is idle: the invocation
+    /// ends as soon as memory drains, which the memory horizon does not
+    /// bound, so every remaining tick runs the termination check.
+    Draining,
+    /// Some SM's issue runway ([`crate::sm::Sm::batch_horizon`]) is
+    /// below break-even: a schedulable warp could reach memory or retire
+    /// (or, for a fused window, issue) within
+    /// [`crate::engine::MIN_WINDOW_TICKS`] ticks.
     IssueRunway,
 }
 
@@ -173,6 +189,9 @@ pub struct BatchWindowStats {
     pub closed_epoch_or_cycle_cap: u64,
     /// Per-tick fallbacks: an SM was not quiescent.
     pub closed_sm_active: u64,
+    /// Per-tick fallbacks: the invocation was draining (grid dispatched,
+    /// every SM idle).
+    pub closed_draining: u64,
     /// Per-tick fallbacks: an SM's issue runway was too short.
     pub closed_issue_runway: u64,
 }
@@ -189,7 +208,8 @@ impl BatchWindowStats {
             self.fused_windows += 1;
             self.fused_ticks = self.fused_ticks.saturating_add(w);
         }
-        // w >= 2 always, so floor(log2(w)) >= 1.
+        // Clamped to 2 so floor(log2(w)) >= 1; the engine only records
+        // windows of at least MIN_WINDOW_TICKS.
         let log2 = 63 - u64::leading_zeros(w.max(2)) as usize;
         let bucket = (log2 - 1).min(WINDOW_SIZE_BUCKETS - 1);
         self.size_histogram[bucket] += 1;
@@ -211,6 +231,7 @@ impl BatchWindowStats {
             BatchClose::MemHorizon => self.closed_mem_horizon += 1,
             BatchClose::EpochOrCycleCap => self.closed_epoch_or_cycle_cap += 1,
             BatchClose::SmActive => self.closed_sm_active += 1,
+            BatchClose::Draining => self.closed_draining += 1,
             BatchClose::IssueRunway => self.closed_issue_runway += 1,
         }
     }
@@ -223,6 +244,7 @@ impl BatchWindowStats {
             + self.closed_mem_horizon
             + self.closed_epoch_or_cycle_cap
             + self.closed_sm_active
+            + self.closed_draining
             + self.closed_issue_runway
     }
 }
@@ -270,9 +292,11 @@ mod tests {
         stats.record_close(BatchClose::MemoryActive);
         stats.record_close(BatchClose::MemHorizon);
         stats.record_close(BatchClose::IssueRunway);
+        stats.record_close(BatchClose::Draining);
         assert_eq!(stats.closed_memory_active, 2);
         assert_eq!(stats.closed_mem_horizon, 1);
-        assert_eq!(stats.closes_total(), 5);
+        assert_eq!(stats.closed_draining, 1);
+        assert_eq!(stats.closes_total(), 6);
     }
 
     #[test]

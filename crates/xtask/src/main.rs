@@ -16,8 +16,9 @@
 //! * `cargo xtask ci` — the offline CI driver: release build, the test
 //!   suite twice (`SIM_THREADS=1` and `SIM_THREADS=max`, exercising both
 //!   the serial and parallel engine stepping paths), the
-//!   `validate`-feature test suite under the thread pool, the lint pass,
-//!   the effect-analysis pass (its JSON report lands in
+//!   `validate`-feature test suite under the thread pool, the
+//!   benchmark's self-tests (`simbench/`, a separate cargo package),
+//!   the lint pass, the effect-analysis pass (its JSON report lands in
 //!   `target/analyze-report.json`), a `sim-report` artifact smoke test,
 //!   the fast-forward gate (`sim-ffcheck`: bit-identical `RunStats`
 //!   with `SimOptions::fast_forward` on vs off under every governor,
@@ -256,6 +257,18 @@ fn cmd_ci() -> i32 {
             "test (validate, parallel)",
             &["test", "-q", "--features", "validate"],
             &[("SIM_THREADS", "max")],
+        ),
+        // The benchmark is its own cargo package (empty `[workspace]`),
+        // so the workspace test runs above never build or test it.
+        (
+            "test (simbench self-tests)",
+            &[
+                "test",
+                "--release",
+                "--manifest-path",
+                "simbench/Cargo.toml",
+            ],
+            &[],
         ),
     ];
     for (label, args, envs) in steps {

@@ -160,6 +160,52 @@ fn random_kernels_are_thread_invariant() {
     }
 }
 
+/// The window proof is invisible: under both VRM topologies every
+/// random kernel produces the same `RunStats` with default options as
+/// with the plain per-tick stepper (no fast-forward, no windows).
+#[test]
+fn random_kernels_match_the_per_tick_stepper() {
+    use equalizer_sim::engine::Engine;
+
+    let reference = SimOptions {
+        fast_forward: false,
+        max_batch_ticks: 1,
+        ..SimOptions::default()
+    };
+    let run = |config: &GpuConfig, kernel: &KernelSpec, options: SimOptions, case: usize| {
+        let mut engine = Engine::new(config, kernel, options)
+            .unwrap_or_else(|e| panic!("case {case}: setup failed: {e}"));
+        let mut stats = engine
+            .run(&mut StaticGovernor)
+            .unwrap_or_else(|e| panic!("case {case}: run failed: {e}"));
+        let batched = engine.batched_ticks();
+        stats.batched_ticks = 0;
+        (stats, batched)
+    };
+    let mut rng = SplitMix64::new(SEED ^ 5);
+    let mut windowed_cases = 0;
+    for case in 0..KERNEL_CASES {
+        let kernel = draw_kernel(&mut rng);
+        for per_sm_vrm in [false, true] {
+            let mut config = small_config();
+            config.per_sm_vrm = per_sm_vrm;
+            let (plain, plain_batched) = run(&config, &kernel, reference, case);
+            assert_eq!(
+                plain_batched, 0,
+                "case {case}: the reference opened a window"
+            );
+            let (default, batched) = run(&config, &kernel, SimOptions::default(), case);
+            assert_eq!(
+                default, plain,
+                "case {case}: default options diverged from the per-tick stepper \
+                 (per_sm_vrm={per_sm_vrm})"
+            );
+            windowed_cases += usize::from(batched > 0);
+        }
+    }
+    assert!(windowed_cases > 0, "no random kernel opened a window");
+}
+
 /// Throttling concurrency never deadlocks and never changes the work.
 #[test]
 fn fixed_block_throttling_conserves_work() {
