@@ -19,6 +19,7 @@
 //! let _governor = DynCta::new();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

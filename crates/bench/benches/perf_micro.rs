@@ -10,7 +10,7 @@ use equalizer_core::{decide, Equalizer, Mode};
 use equalizer_sim::config::GpuConfig;
 use equalizer_sim::counters::WarpStateCounters;
 use equalizer_sim::governor::StaticGovernor;
-use equalizer_sim::gpu::{simulate, simulate_with, SimOptions};
+use equalizer_sim::gpu::{simulate, SimOptions};
 use equalizer_workloads::kernel_by_name;
 use std::hint::black_box;
 
@@ -75,74 +75,15 @@ fn main() {
     println!("{r}");
     results.push(r);
 
-    // Parallel two-phase stepping on the full 15-SM GTX 480: the same
-    // kernels serially and with one worker per available core. The
-    // results are bit-identical by contract; only the wall clock moves
-    // (on a single-core host the pair measures pool overhead instead).
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    // The perf set, serial on the full 15-SM GTX 480 with default
+    // options.
     let wide = GpuConfig::gtx480(); // 15 SMs
-    println!("\n=== parallel stepping (15 SMs, {threads} threads) ===");
+    println!("\n=== perf set (15 SMs) ===");
     for name in ["mri-q", "mmer", "cfd-2"] {
         let kernel = kernel_by_name(name).expect("catalog kernel");
-        let run = |label: &str, threads: usize| {
-            let opts = SimOptions {
-                threads,
-                ..SimOptions::default()
-            };
-            let r = bench(label, sim_opts, || {
-                let stats = simulate_with(
-                    black_box(&wide),
-                    black_box(&kernel),
-                    &mut StaticGovernor,
-                    opts,
-                )
+        let r = bench(&format!("baseline-15sm/{name}"), sim_opts, || {
+            let stats = simulate(black_box(&wide), black_box(&kernel), &mut StaticGovernor)
                 .expect("simulation");
-                black_box(stats.instructions())
-            });
-            println!("{r}");
-            r
-        };
-        let serial = run(&format!("baseline-15sm/{name}"), 1);
-        let parallel = run(&format!("parallel/{name}"), threads);
-        println!(
-            "    speedup {name}: {:.2}x (median, {threads} threads)",
-            serial.median_ns as f64 / parallel.median_ns.max(1) as f64
-        );
-        results.push(serial);
-        results.push(parallel);
-    }
-
-    // Thread-count scaling curve on one kernel: how wall time moves as
-    // the partition count grows past the core count. On a wide host the
-    // curve bottoms out near the core count; on a single-core host it
-    // rises monotonically and measures pure pool overhead.
-    println!("\n=== thread sweep (15 SMs, mri-q) ===");
-    let kernel = kernel_by_name("mri-q").expect("catalog kernel");
-    for t in [1usize, 2, 4, 8, 15] {
-        // Oversubscribed rows measure pure pool overhead, not scaling —
-        // on a narrow host they dominate the bench's wall time (tens of
-        // seconds each) without saying anything about the simulator.
-        if t > threads {
-            println!(
-                "sweep/mri-q-t{t:<13} skipped: {t} partitions on {threads} hardware \
-                 thread(s) would measure pool overhead, not scaling"
-            );
-            continue;
-        }
-        let opts = SimOptions {
-            threads: t,
-            ..SimOptions::default()
-        };
-        let r = bench(&format!("sweep/mri-q-t{t}"), sim_opts, || {
-            let stats = simulate_with(
-                black_box(&wide),
-                black_box(&kernel),
-                &mut StaticGovernor,
-                opts,
-            )
-            .expect("simulation");
             black_box(stats.instructions())
         });
         println!("{r}");

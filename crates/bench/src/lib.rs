@@ -5,6 +5,8 @@
 //! of the simulator itself. The shared runner setup and the
 //! zero-dependency timing harness live here.
 
+#![forbid(unsafe_code)]
+
 use equalizer_harness::Runner;
 
 pub mod timing;

@@ -48,6 +48,7 @@
 
 // Compiler-enforced backstop for the `no-unwrap` lint rule: library
 // code in this crate must not contain panicking escape hatches.
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -6,10 +6,10 @@
 //!    and must never change simulated results. The gate runs the
 //!    memory-active tier-1 workload (`mri-q`, full 15-SM GTX 480) under
 //!    every governor family — static, Equalizer in both modes, DynCTA
-//!    and the CCWS baseline (which disables fused windows) — plus a
-//!    threaded-pool run, and requires `RunStats` equality between the
-//!    on and off runs of each pair. (`RunStats` equality deliberately
-//!    excludes the `batched_ticks` diagnostic.)
+//!    and the CCWS baseline (which disables fused windows) — and
+//!    requires `RunStats` equality between the on and off runs of each
+//!    pair. (`RunStats` equality deliberately excludes the
+//!    `batched_ticks` diagnostic.)
 //! 2. **Coverage.** On a stall-heavy workload — warps sleeping on
 //!    outstanding loads and long dependence chains, the shape the
 //!    event-driven window proof exists for — at least half of all SM
@@ -29,8 +29,7 @@
 //! their proof on an issue-saturated kernel.
 //!
 //! Runs entirely in-process; `cargo xtask ci` invokes it on every host
-//! (unlike the parallel-speedup gate, a single core is enough — the
-//! fast path is about skipping work, not spreading it).
+//! (a single core is enough — the fast path is about skipping work).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -120,7 +119,7 @@ fn run() -> Result<(), String> {
     let config = GpuConfig::gtx480();
     let mri_q = kernel_by_name("mri-q").ok_or("mri-q missing from the workload catalog")?;
 
-    // --- 1. bit-identity across governors, thread counts, the knob.
+    // --- 1. bit-identity across governors and the knob.
     type Setup = (
         &'static str,
         fn(&GpuConfig) -> (GpuConfig, Box<dyn Governor>),
@@ -143,34 +142,24 @@ fn run() -> Result<(), String> {
         }),
     ];
     for (name, setup) in systems {
-        for threads in [1usize, 2] {
-            // The threaded pool path is exercised once (static); per
-            // governor it only re-times the same engine code paths.
-            if threads > 1 && *name != "static" {
-                continue;
-            }
-            let mut pair = Vec::new();
-            for fast_forward in [true, false] {
-                let (config, mut governor) = setup(&config);
-                let options = SimOptions {
-                    threads,
-                    fast_forward,
-                    ..SimOptions::default()
-                };
-                pair.push(simulate(&config, &mri_q, governor.as_mut(), options)?);
-            }
-            if pair[0].stats != pair[1].stats {
-                return Err(format!(
-                    "mri-q under `{name}` (threads={threads}): RunStats diverge \
-                     between fast-forward on and off"
-                ));
-            }
-            println!(
-                "identity {name:<17} threads={threads}  ok \
-                 (batched {} vs {} of {} SM ticks)",
-                pair[0].batched_ticks, pair[1].batched_ticks, pair[0].total_ticks
-            );
+        let mut pair = Vec::new();
+        for fast_forward in [true, false] {
+            let (config, mut governor) = setup(&config);
+            let options = SimOptions {
+                fast_forward,
+                ..SimOptions::default()
+            };
+            pair.push(simulate(&config, &mri_q, governor.as_mut(), options)?);
         }
+        if pair[0].stats != pair[1].stats {
+            return Err(format!(
+                "mri-q under `{name}`: RunStats diverge between fast-forward on and off"
+            ));
+        }
+        println!(
+            "identity {name:<17} ok (batched {} vs {} of {} SM ticks)",
+            pair[0].batched_ticks, pair[1].batched_ticks, pair[0].total_ticks
+        );
     }
 
     // --- 2. window coverage.

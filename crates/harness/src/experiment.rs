@@ -103,117 +103,14 @@ pub struct Runner {
     options: SimOptions,
 }
 
-/// Resolves the `SIM_THREADS` environment variable into a thread count
-/// for [`SimOptions::threads`].
-///
-/// Accepted forms:
-///
-/// * unset or empty — serial (one thread);
-/// * `max` — all available cores;
-/// * a positive decimal integer, e.g. `4` — that many threads.
-///
-/// Anything else — `0`, a negative number, stray whitespace, a typo like
-/// `Max` — is rejected with a descriptive error rather than silently
-/// falling back to serial, so a mistyped CI knob cannot quietly run the
-/// whole suite single-threaded.
-///
-/// Each thread becomes one fixed SM partition of the engine's lock-free
-/// worker pool (the count is clamped to the SM count downstream). Thread
-/// count never changes results — the partitioned two-phase cycle is
-/// bit-identical at any setting — so this is purely a wall-clock knob,
-/// which is why an env var (rather than config plumbing through every
-/// call site) is acceptable here. Use `max` on multi-core hosts; on a
-/// single-core host extra partitions only add dispatch overhead (see the
-/// `sweep/mri-q-t*` rows in `BENCH_sim.json`).
-///
-/// # Errors
-///
-/// Returns a descriptive message naming the rejected value and the
-/// accepted forms.
-pub fn sim_threads_from_env() -> Result<usize, String> {
-    parse_sim_threads(std::env::var("SIM_THREADS").ok().as_deref())
-}
-
-/// The parsing behind [`sim_threads_from_env`], split out so the rules
-/// are testable without mutating the process environment.
-fn parse_sim_threads(value: Option<&str>) -> Result<usize, String> {
-    match value {
-        None | Some("") => Ok(1),
-        Some("max") => Ok(std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!(
-                "invalid SIM_THREADS value `{v}`: expected `max`, a positive \
-                 integer, or unset/empty for serial"
-            )),
-        },
-    }
-}
-
-/// Resolves the `SIM_SPIN_LIMIT` environment variable into
-/// [`SimOptions::spin_limit`]: how many spin iterations a pool worker
-/// (or the engine's completion wait) burns before parking on the OS.
-///
-/// Accepted forms: unset or empty — the [`SimOptions`] default; a
-/// non-negative decimal integer, e.g. `0` (park immediately) or
-/// `10000` (spin long before parking). Like `SIM_THREADS` this is a
-/// pure wall-clock knob — results are bit-identical at any setting —
-/// which is why an env var is acceptable here.
-///
-/// # Errors
-///
-/// Returns a descriptive message naming the rejected value and the
-/// accepted forms.
-pub fn sim_spin_limit_from_env() -> Result<u32, String> {
-    parse_sim_spin_limit(std::env::var("SIM_SPIN_LIMIT").ok().as_deref())
-}
-
-/// The parsing behind [`sim_spin_limit_from_env`], split out so the
-/// rules are testable without mutating the process environment.
-fn parse_sim_spin_limit(value: Option<&str>) -> Result<u32, String> {
-    match value {
-        None | Some("") => Ok(SimOptions::default().spin_limit),
-        Some(v) => v.parse::<u32>().map_err(|_| {
-            format!(
-                "invalid SIM_SPIN_LIMIT value `{v}`: expected a non-negative \
-                 integer, or unset/empty for the default"
-            )
-        }),
-    }
-}
-
 impl Runner {
-    /// A runner over the paper's baseline GTX 480 configuration.
-    ///
-    /// Honours `SIM_THREADS` (see [`sim_threads_from_env`]) so CI can
-    /// exercise the whole suite under the parallel stepping path, and
-    /// `SIM_SPIN_LIMIT` (see [`sim_spin_limit_from_env`]) for the
-    /// spin-vs-park crossover of the pool's waits.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `SIM_THREADS` or `SIM_SPIN_LIMIT` is set to a value
-    /// its parser rejects; a mistyped knob should stop the run, not
-    /// silently degrade it to the default.
+    /// A runner over the paper's baseline GTX 480 configuration with
+    /// default options.
     pub fn gtx480() -> Self {
-        let threads = match sim_threads_from_env() {
-            Ok(n) => n,
-            Err(msg) => panic!("{msg}"),
-        };
-        let spin_limit = match sim_spin_limit_from_env() {
-            Ok(n) => n,
-            Err(msg) => panic!("{msg}"),
-        };
         Self {
             config: GpuConfig::gtx480(),
             model: PowerModel::gtx480(),
-            options: SimOptions {
-                threads,
-                spin_limit,
-                ..SimOptions::default()
-            },
+            options: SimOptions::default(),
         }
     }
 
@@ -421,38 +318,6 @@ mod tests {
     fn parallel_map_empty_and_single() {
         assert_eq!(parallel_map(Vec::<i32>::new(), |x| *x), Vec::<i32>::new());
         assert_eq!(parallel_map(vec![7], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn sim_threads_accepts_documented_forms() {
-        assert_eq!(parse_sim_threads(None), Ok(1));
-        assert_eq!(parse_sim_threads(Some("")), Ok(1));
-        assert_eq!(parse_sim_threads(Some("4")), Ok(4));
-        assert_eq!(parse_sim_threads(Some("1")), Ok(1));
-        assert!(parse_sim_threads(Some("max")).unwrap() >= 1);
-    }
-
-    #[test]
-    fn sim_threads_rejects_everything_else() {
-        for bad in ["0", "-2", " 4", "4 ", "Max", "all", "2x", "1.5"] {
-            let err = parse_sim_threads(Some(bad)).expect_err(&format!("`{bad}` must be rejected"));
-            assert!(err.contains(bad), "error names the value: {err}");
-            assert!(err.contains("max"), "error names accepted forms: {err}");
-        }
-    }
-
-    #[test]
-    fn sim_spin_limit_accepts_integers_and_defaults_when_unset() {
-        let default = SimOptions::default().spin_limit;
-        assert_eq!(parse_sim_spin_limit(None), Ok(default));
-        assert_eq!(parse_sim_spin_limit(Some("")), Ok(default));
-        assert_eq!(parse_sim_spin_limit(Some("0")), Ok(0));
-        assert_eq!(parse_sim_spin_limit(Some("10000")), Ok(10_000));
-        for bad in ["-1", " 4", "lots", "1.5"] {
-            let err =
-                parse_sim_spin_limit(Some(bad)).expect_err(&format!("`{bad}` must be rejected"));
-            assert!(err.contains(bad), "error names the value: {err}");
-        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! # Ok::<(), equalizer_sim::gpu::SimError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

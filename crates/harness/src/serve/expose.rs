@@ -116,7 +116,18 @@ mod tests {
     fn registry_carries_every_tally_and_phase() {
         let reply = sample_reply();
         let registry = stats_registry(&reply).unwrap();
-        assert_eq!(registry.len(), 9 + 5, "9 tallies + 5 phase histograms");
+        // Exactly the two `named()` tables: every key present, nothing
+        // else registered.
+        let mut expected: Vec<&str> = reply.tallies.named().iter().map(|(n, _)| *n).collect();
+        expected.extend(reply.phases.named().iter().map(|(n, _)| *n));
+        let mut registered: Vec<&str> =
+            registry.metrics().iter().map(|m| m.name.as_str()).collect();
+        registered.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(
+            registered, expected,
+            "the registry holds exactly the named tables"
+        );
         let requests = registry.get("serve.requests").unwrap();
         assert_eq!(requests.last(), Some(7.0));
         match &registry.get("serve.phase.simulate").unwrap().kind {

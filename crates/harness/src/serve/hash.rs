@@ -22,7 +22,7 @@
 //!   `Runner::system_setup` actually hands the engine — because several
 //!   systems (static VF points, per-SM VRM, CCWS) modify it.
 //! * Every [`SimOptions`] field participates, including the wall-clock
-//!   -only knobs (`threads`, `max_batch_ticks`): `RunStats` *encodes*
+//!   -only knobs (`max_batch_ticks`, `fast_forward`): `RunStats` *encodes*
 //!   `batched_ticks`, so byte-identity of cached results requires
 //!   keying on them. Exhaustive destructuring makes adding a field a
 //!   compile error until it is folded.
@@ -49,18 +49,12 @@ fn fold_options(fold: &mut Fold, options: &SimOptions) {
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        threads,
         max_batch_ticks,
-        spin_limit,
-        profile,
         fast_forward,
     } = *options;
     fold.add(max_cycles_per_invocation);
     fold.add(u64::from(record_epochs));
-    fold.add(threads as u64);
     fold.add(max_batch_ticks);
-    fold.add(u64::from(spin_limit));
-    fold.add(u64::from(profile));
     // Like max_batch_ticks: results are bit-identical either way, but the
     // encoded RunStats carry `batched_ticks`, so cached bytes must key on
     // anything that can change it.

@@ -397,18 +397,12 @@ fn put_options(w: &mut Writer, options: &SimOptions) {
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        threads,
         max_batch_ticks,
-        spin_limit,
-        profile,
         fast_forward,
     } = *options;
     w.u64(max_cycles_per_invocation);
     w.bool(record_epochs);
-    w.usize(threads);
     w.u64(max_batch_ticks);
-    w.u32(spin_limit);
-    w.bool(profile);
     w.bool(fast_forward);
 }
 
@@ -416,10 +410,7 @@ fn get_options(r: &mut Reader<'_>) -> Result<SimOptions, SnapshotError> {
     Ok(SimOptions {
         max_cycles_per_invocation: r.u64()?,
         record_epochs: r.bool()?,
-        threads: r.usize()?,
         max_batch_ticks: r.u64()?,
-        spin_limit: r.u32()?,
-        profile: r.bool()?,
         fast_forward: r.bool()?,
     })
 }
@@ -694,7 +685,7 @@ mod tests {
                 seed: Some(7),
                 num_sms: Some(4),
                 options: SimOptions {
-                    threads: 2,
+                    max_batch_ticks: 1,
                     ..SimOptions::default()
                 },
                 system,

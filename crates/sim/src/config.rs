@@ -7,7 +7,7 @@
 //!
 //! Everything here describes the simulated *hardware* and therefore
 //! affects results. Knobs that only change how fast the host simulates
-//! that hardware — thread count, tick batching, and the event-driven
+//! that hardware — tick batching and the event-driven
 //! fast-forward path (`fast_forward`, default on; off restores the
 //! conservative quiescence-gated batching) — live on
 //! [`SimOptions`](crate::gpu::SimOptions) instead, and are guaranteed

@@ -21,26 +21,25 @@
 //! exactly one iteration of the classic event loop, and observers only
 //! read state. `tests/engine_stepping.rs` pins this property.
 //!
-//! Parallel stepping is deterministic too. Each SM tick is split into a
-//! *local* phase ([`Sm::cycle_local`]) that touches only per-SM state and
-//! a serial *commit* phase ([`Sm::commit`]) executed in the rotated
-//! service order, where interconnect arbitration, back-pressure and GWDE
-//! dispatch are resolved. The SMs live in fixed per-worker partitions
-//! owned by the [`SmPool`] (no locks anywhere on the hot path — dispatch
-//! is an atomic epoch-counter hand-off), only the local phase runs on
-//! the workers, and the partition of an SM is a pure function of its
-//! index — so every [`SimOptions::threads`] value yields bit-identical
-//! results; `tests/parallel_determinism.rs` pins that property.
+//! Each SM tick is a two-phase cycle, run serially over the engine's
+//! SMs in a rotated service order: a *local* phase ([`Sm::cycle_local`])
+//! that touches only per-SM state, then a *commit* phase
+//! ([`Sm::commit`]) where interconnect arbitration, back-pressure and
+//! GWDE dispatch are resolved. The split is a discipline rather than a
+//! schedule: `cargo xtask analyze` proves the local phase reads and
+//! writes nothing shared, which is what lets a batched window skip the
+//! commits below.
 //!
 //! On top of the per-tick schedule the engine *batches* SM ticks: when
 //! it can prove that a window of `w` cycles contains no cross-SM
-//! interaction, it dispatches the whole window in one pool hand-off and
-//! replays the clocks afterwards. In-window commits degenerate to pure
-//! per-SM statistics ([`Sm::account_cycle`]), so the window is exactly
+//! interaction, it runs the whole window SM by SM and replays the
+//! clocks afterwards. In-window commits degenerate to pure per-SM
+//! statistics ([`Sm::account_cycle`]), so the window is exactly
 //! equivalent to `w` per-tick steps (see [`Engine::batched_ticks`] and
-//! the tick-batching test in `tests/parallel_determinism.rs`). Windows
-//! shorter than [`MIN_WINDOW_TICKS`] are refused: their proof costs
-//! more host time than they save.
+//! `tests/reference_equivalence.rs`, which checks every fast path
+//! against the plain per-tick stepper). Windows shorter than
+//! [`MIN_WINDOW_TICKS`] are refused: their proof costs more host time
+//! than they save.
 //!
 //! Under [`SimOptions::fast_forward`] (the default) the window proof is
 //! event-driven rather than quiescence-based: the memory system may be
@@ -65,10 +64,9 @@ use crate::gpu::{SimError, SimOptions};
 use crate::gwde::Gwde;
 use crate::kernel::KernelSpec;
 use crate::memsys::{MemLevelStats, MemSystem};
-use crate::pool::{Assignment, SmPool};
 use crate::sm::{Sm, SmLevelEvents};
 use crate::stats::{EpochRecord, InvocationStats, RunStats};
-use crate::telemetry::{BatchClose, BatchWindowStats, PoolStats, WindowBound};
+use crate::telemetry::{BatchClose, BatchWindowStats, WindowBound};
 
 /// The break-even length of a batched window: the engine refuses any
 /// window shorter than this and runs those ticks per-tick instead.
@@ -334,13 +332,10 @@ pub struct Engine<'o> {
     kernel: KernelSpec,
     options: SimOptions,
 
-    // The machine. The SMs live inside the pool's fixed partitions (one
-    // per worker plus one for the engine thread); the engine reaches
-    // them through `SmPool::sm_ref`/`sm_mut`, which are plain borrows —
-    // no lock is taken anywhere on the stepping path.
+    // The machine.
     sm_clocks: Vec<DomainClock>,
     mem_clock: DomainClock,
-    pool: SmPool,
+    sms: Vec<Sm>,
     mem: MemSystem,
     gwde: Gwde,
 
@@ -375,7 +370,6 @@ pub struct Engine<'o> {
     observers: Vec<&'o mut dyn Observer>,
     observed: bool,
     block_scratch: Vec<u64>,
-    due: Vec<Assignment>,
 }
 
 impl fmt::Debug for Engine<'_> {
@@ -422,12 +416,6 @@ impl<'o> Engine<'o> {
                 sm.set_fast_issue(true);
             }
         }
-        // Clamp the thread knob: more threads than SMs cannot help, and
-        // 0/1 both mean serial. The engine thread always services one
-        // partition itself, so `threads` counts it: serial and single-SM
-        // runs never spawn a worker.
-        let threads = options.threads.clamp(1, config.num_sms);
-        let pool = SmPool::new(sms, threads - 1, options.spin_limit, options.profile);
         let mem = MemSystem::new(config);
         let nominal_sm_period = config.sm_clock.period_fs(VfLevel::Nominal);
         let epoch_span_fs = config.epoch_cycles * nominal_sm_period;
@@ -438,7 +426,7 @@ impl<'o> Engine<'o> {
             options,
             sm_clocks,
             mem_clock,
-            pool,
+            sms,
             mem,
             gwde: Gwde::new(0),
             nominal_sm_period,
@@ -459,7 +447,6 @@ impl<'o> Engine<'o> {
             observers: Vec::new(),
             observed: false,
             block_scratch: Vec::new(),
-            due: Vec::new(),
             config: config.clone(),
         })
     }
@@ -510,14 +497,14 @@ impl<'o> Engine<'o> {
 
     /// Number of SMs in the machine.
     pub fn num_sms(&self) -> usize {
-        self.pool.num_sms()
+        self.sms.len()
     }
 
     /// SM-domain ticks that were executed inside batched windows so far.
     ///
     /// Purely a wall-clock-optimisation diagnostic: batching never
-    /// changes simulated results (the tick-batching equivalence test in
-    /// `tests/parallel_determinism.rs` pins that), so this counter only
+    /// changes simulated results (`tests/reference_equivalence.rs` pins
+    /// that against the plain per-tick stepper), so this counter only
     /// tells you how often the engine could prove a multi-tick window
     /// free of cross-SM interaction.
     pub fn batched_ticks(&self) -> u64 {
@@ -530,23 +517,10 @@ impl<'o> Engine<'o> {
     /// `RunStats`-adjacent on purpose — like [`Engine::batched_ticks`]
     /// it describes the wall-clock optimisation, not the simulated
     /// machine, so it never enters [`RunStats`] or snapshots
-    /// (restoring resets it). Deterministic at every thread count.
+    /// (restoring resets it). Deterministic: the counters are driven
+    /// purely by the engine's own proof attempts.
     pub fn batch_window_stats(&self) -> &BatchWindowStats {
         &self.batch_stats
-    }
-
-    /// Snapshot of the pool's profiling counters: per-partition busy
-    /// ticks, jobs, spin iterations and park events, plus the engine's
-    /// dispatch/wait counters.
-    ///
-    /// All zeros unless the run was started with
-    /// [`SimOptions::profile`]; like [`Engine::batch_window_stats`],
-    /// never part of [`RunStats`] or snapshots. Unlike the batch-window
-    /// diagnostic the spin/park counts are wall-clock facts and vary
-    /// run to run — only the busy-tick and job totals are
-    /// deterministic for a fixed thread count.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Runs `f` against SM `index`, for mid-run inspection.
@@ -555,7 +529,7 @@ impl<'o> Engine<'o> {
     ///
     /// Panics when `index` is out of range.
     pub fn with_sm<R>(&self, index: usize, f: impl FnOnce(&Sm) -> R) -> R {
-        f(self.pool.sm_ref(index))
+        f(&self.sms[index])
     }
 
     /// Advances the simulation by exactly one event: an invocation setup,
@@ -666,8 +640,7 @@ impl<'o> Engine<'o> {
             invocations: self.invocations.clone(),
             ..RunStats::default()
         };
-        for i in 0..self.pool.num_sms() {
-            let sm = self.pool.sm_ref(i);
+        for sm in &self.sms {
             for (agg, ev) in stats.sm_events.iter_mut().zip(sm.events().iter()) {
                 agg.issued += ev.issued;
                 agg.alu_ops += ev.alu_ops;
@@ -734,9 +707,9 @@ impl<'o> Engine<'o> {
         self.gwde.encode(&mut w);
         self.mem.encode(&mut w);
 
-        w.usize(self.pool.num_sms());
-        for i in 0..self.pool.num_sms() {
-            self.pool.sm_ref(i).encode_state(&mut w);
+        w.usize(self.sms.len());
+        for sm in &self.sms {
+            sm.encode_state(&mut w);
         }
 
         w.usize(self.invocations.len());
@@ -762,11 +735,11 @@ impl<'o> Engine<'o> {
     /// `config`, `kernel` and `options` must describe the same simulated
     /// machine the snapshot was taken on; the header's fingerprint
     /// enforces that. The wall-clock-only knobs
-    /// ([`SimOptions::threads`], [`SimOptions::max_batch_ticks`]) are
-    /// excluded from the fingerprint, so a snapshot taken on a serial
-    /// run restores onto a parallel engine (and vice versa) — results
-    /// stay bit-identical because the SM partition is a pure function of
-    /// the SM index.
+    /// ([`SimOptions::max_batch_ticks`], [`SimOptions::fast_forward`])
+    /// are excluded from the fingerprint, so a snapshot taken with
+    /// batching on restores onto an engine with it off (and vice versa)
+    /// — results stay bit-identical because every fast path reproduces
+    /// the per-tick stepper.
     ///
     /// # Errors
     ///
@@ -852,7 +825,7 @@ impl<'o> Engine<'o> {
         engine.mem = MemSystem::decode(config, &mut r)?;
 
         let at = r.offset();
-        if r.seq_len(16)? != engine.pool.num_sms() {
+        if r.seq_len(16)? != engine.sms.len() {
             return Err(SnapshotError::Corrupt {
                 offset: at,
                 what: "SM count differs from machine",
@@ -873,11 +846,8 @@ impl<'o> Engine<'o> {
                 .get(engine.inv_idx.wrapping_sub(1))
                 .map(|inv| inv.program.clone()),
         };
-        for i in 0..engine.pool.num_sms() {
-            engine
-                .pool
-                .sm_mut(i)
-                .decode_state(&mut r, program.clone())?;
+        for sm in &mut engine.sms {
+            sm.decode_state(&mut r, program.clone())?;
         }
 
         let n = r.seq_len(24)?;
@@ -923,8 +893,7 @@ impl<'o> Engine<'o> {
         self.inv_start_fs = self.now;
         self.gwde = Gwde::new(grid_blocks);
         self.mem.flush_l2();
-        for i in 0..self.pool.num_sms() {
-            let sm = self.pool.sm_mut(i);
+        for sm in &mut self.sms {
             sm.begin_invocation(&self.kernel, self.inv_idx, program.clone());
             sm.fill(&mut self.gwde);
         }
@@ -963,8 +932,8 @@ impl<'o> Engine<'o> {
 
         // Tick batching: when the engine can prove a window of
         // `w >= MIN_WINDOW_TICKS` SM cycles is free of cross-SM
-        // interaction, it executes the whole window in one pool dispatch
-        // instead of `w` per-tick hand-offs. See `try_batched_window`
+        // interaction, it executes the whole window SM by SM instead of
+        // `w` interleaved per-tick steps. See `try_batched_window`
         // for the proof obligations. Either way the outcome feeds the
         // batch-window diagnostic: window size and bound on success,
         // close reason on the per-tick fallback.
@@ -991,7 +960,7 @@ impl<'o> Engine<'o> {
         // beats against the SM:memory clock ratio and still favours a
         // subset of SMs for long stretches. A single-SM machine has only
         // one possible order, so it skips the hash entirely.
-        let n = self.pool.num_sms();
+        let n = self.sms.len();
         let start = if self.single_sm {
             0
         } else {
@@ -1002,67 +971,43 @@ impl<'o> Engine<'o> {
             // Overwrite the retained snapshot in place: no per-step
             // clear()/extend churn, and nothing at all in unobserved runs.
             self.block_scratch.resize(n, 0);
-            for (slot, i) in self.block_scratch.iter_mut().zip(0..n) {
-                *slot = self.pool.sm_ref(i).blocks_completed();
+            for (slot, sm) in self.block_scratch.iter_mut().zip(&self.sms) {
+                *slot = sm.blocks_completed();
             }
         }
 
-        // Collect the SMs due this tick, already in service order.
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        if self.config.per_sm_vrm {
-            for off in 0..n {
-                let i = (start + off) % n;
-                if self.sm_clocks[i].next_tick() == t {
-                    self.sm_clocks[i].tick();
-                    due.push((i, self.sm_clocks[i].level(), self.sm_clocks[i].period_fs()));
+        // The two-phase cycle ([`Sm::cycle`]: drain the inbox, run the
+        // local phase, then commit) for every SM due this tick, in
+        // service order, so interconnect arbitration, back-pressure and
+        // GWDE dispatch resolve in the rotated order. With a shared VRM every SM is
+        // due on clock 0's tick; with per-SM VRMs only those whose own
+        // clock fires at `t`.
+        let shared = if self.config.per_sm_vrm {
+            None
+        } else {
+            let clock = &mut self.sm_clocks[0];
+            clock.tick();
+            Some((clock.level(), clock.period_fs()))
+        };
+        for off in 0..n {
+            let i = (start + off) % n;
+            let (level, period) = match shared {
+                Some(lp) => lp,
+                None => {
+                    let clock = &mut self.sm_clocks[i];
+                    if clock.next_tick() != t {
+                        continue;
+                    }
+                    clock.tick();
+                    (clock.level(), clock.period_fs())
                 }
-            }
-        } else {
-            self.sm_clocks[0].tick();
-            let level = self.sm_clocks[0].level();
-            let period = self.sm_clocks[0].period_fs();
-            for off in 0..n {
-                due.push(((start + off) % n, level, period));
-            }
+            };
+            self.sms[i].cycle(t, level, period, &mut self.mem, &mut self.gwde);
         }
-
-        // The two-phase cycle. With live workers and more than one due
-        // SM: pre-drain every inbox serially (the per-SM response heaps
-        // are disjoint), hand the local phase to the partitions in one
-        // epoch-counter dispatch, then commit in service order so
-        // interconnect arbitration, back-pressure and GWDE dispatch
-        // resolve exactly as in a serial run. The serial path fuses the
-        // three stages per SM — the same schedule, since the phases of
-        // different SMs touch disjoint state.
-        if self.pool.has_workers() && due.len() > 1 {
-            for &(i, ..) in due.iter() {
-                self.mem.drain_ready(i, t, self.pool.sm_mut(i).inbox_mut());
-            }
-            if self.config.per_sm_vrm {
-                self.pool.dispatch_due(t, &due);
-            } else {
-                let (_, level, period) = due[0];
-                self.pool.dispatch_all(t, level, period, 1);
-            }
-            for &(i, level, _) in due.iter() {
-                self.pool
-                    .sm_mut(i)
-                    .commit(level, &mut self.mem, &mut self.gwde);
-            }
-        } else {
-            for &(i, level, period) in due.iter() {
-                let sm = self.pool.sm_mut(i);
-                self.mem.drain_ready(i, t, sm.inbox_mut());
-                sm.cycle_local(t, level, period);
-                sm.commit(level, &mut self.mem, &mut self.gwde);
-            }
-        }
-        self.due = due;
 
         if track_blocks {
             for i in 0..n {
-                let completed = self.pool.sm_ref(i).blocks_completed() - self.block_scratch[i];
+                let completed = self.sms[i].blocks_completed() - self.block_scratch[i];
                 if completed > 0 {
                     let event = BlockEvent::Completed {
                         sm: i,
@@ -1091,18 +1036,15 @@ impl<'o> Engine<'o> {
 
         // Termination check for this invocation.
         if self.gwde.drained()
-            && (0..n).all(|i| {
-                let sm = self.pool.sm_ref(i);
-                !sm.busy() && sm.quiescent()
-            })
+            && self.sms.iter().all(|sm| !sm.busy() && sm.quiescent())
             && self.mem.quiescent()
         {
             // Sanitizer: every MSHR, LSU queue, local-hit queue, inbox
             // and pending access must be empty once an invocation
             // completes.
             #[cfg(feature = "validate")]
-            for i in 0..n {
-                self.pool.sm_ref(i).validate_drained();
+            for sm in &self.sms {
+                sm.validate_drained();
             }
             let end_cycles = self
                 .sm_clocks
@@ -1139,9 +1081,9 @@ impl<'o> Engine<'o> {
                 invocation: self.inv_idx,
                 limit: self.options.max_cycles_per_invocation,
                 executed: max_cycles - self.inv_start_cycles,
-                active_blocks: (0..n).map(|i| self.pool.sm_ref(i).active_blocks()).sum(),
-                paused_blocks: (0..n).map(|i| self.pool.sm_ref(i).paused_blocks()).sum(),
-                resident_warps: (0..n).map(|i| self.pool.sm_ref(i).resident_warps()).sum(),
+                active_blocks: self.sms.iter().map(Sm::active_blocks).sum(),
+                paused_blocks: self.sms.iter().map(Sm::paused_blocks).sum(),
+                resident_warps: self.sms.iter().map(Sm::resident_warps).sum(),
             });
         }
         Ok(event)
@@ -1180,7 +1122,7 @@ impl<'o> Engine<'o> {
     ///   [`Sm::batch_ready`] under fast-forward) and its horizon covers
     ///   it: each schedulable warp is at least `w` instructions away
     ///   from its next memory access and from program completion
-    ///   ([`Sm::batch_horizon`] / the pool side of
+    ///   ([`Sm::batch_horizon`] / the per-tick side of
     ///   [`Sm::window_horizons`]). A warp issues at most one instruction
     ///   per cycle, so nothing can reach the memory system or retire a
     ///   block inside the window — in-window commits degenerate to
@@ -1189,7 +1131,7 @@ impl<'o> Engine<'o> {
     /// When additionally every awake warp is stalled for the whole
     /// window (the fused side of [`Sm::window_horizons`]), the window
     /// runs as [`Engine::run_fused_window`]; the fused horizon is
-    /// preferred whenever it is at least as long as the pool horizon.
+    /// preferred whenever it is at least as long as the per-tick horizon.
     fn try_batched_window(&self) -> Result<(u64, WindowBound, bool), BatchClose> {
         if self.config.per_sm_vrm || self.options.max_batch_ticks < MIN_WINDOW_TICKS {
             return Err(BatchClose::Disabled);
@@ -1248,8 +1190,7 @@ impl<'o> Engine<'o> {
         let fused_ok = ff && self.config.ccws.is_none();
         let mut wp = w;
         let mut wf = if fused_ok { w } else { 0 };
-        for i in 0..self.pool.num_sms() {
-            let sm = self.pool.sm_ref(i);
+        for sm in &self.sms {
             let ready = if ff { sm.batch_ready() } else { sm.quiescent() };
             if !ready {
                 return Err(BatchClose::SmActive);
@@ -1260,11 +1201,10 @@ impl<'o> Engine<'o> {
         // — and memory can drain (a store leaving the DRAM queue)
         // without any event an SM could observe, so the memory horizon
         // does not bound it. The termination check must see that tick.
-        if self.gwde.drained() && (0..self.pool.num_sms()).all(|i| !self.pool.sm_ref(i).busy()) {
+        if self.gwde.drained() && self.sms.iter().all(|sm| !sm.busy()) {
             return Err(BatchClose::Draining);
         }
-        for i in 0..self.pool.num_sms() {
-            let sm = self.pool.sm_ref(i);
+        for sm in &self.sms {
             if ff {
                 let (p, f) = sm.window_horizons(first, period, MIN_WINDOW_TICKS);
                 wp = wp.min(p);
@@ -1293,18 +1233,24 @@ impl<'o> Engine<'o> {
         Ok((win, bound, fused))
     }
 
-    /// Executes a batched window of `w` SM ticks in one pool dispatch.
+    /// Executes a batched window of `w` SM ticks, SM by SM.
     /// `try_batched_window` has already proven that no cross-SM
     /// interaction, response delivery, epoch boundary, termination or
     /// abort can occur inside the window, so commits are per-SM
-    /// statistics ([`Sm::account_cycle`], folded into the dispatch) and
-    /// the machine state afterwards is bit-identical to `w` per-tick
-    /// steps.
+    /// statistics ([`Sm::account_cycle`]) and the machine state
+    /// afterwards is bit-identical to `w` per-tick steps.
     fn run_batched_window(&mut self, w: u64) {
         let level = self.sm_clocks[0].level();
         let period = self.sm_clocks[0].period_fs();
         let first = self.sm_clocks[0].next_tick();
-        self.pool.dispatch_all(first, level, period, w);
+        for sm in &mut self.sms {
+            let mut t = first;
+            for _ in 0..w {
+                sm.cycle_local(t, level, period);
+                sm.account_cycle(level);
+                t += period;
+            }
+        }
         self.advance_clocks_through_window(w);
     }
 
@@ -1312,14 +1258,13 @@ impl<'o> Engine<'o> {
     /// per-cycle pipeline at all: `try_batched_window` has proven every
     /// awake warp stays stalled for the whole window, so each per-tick
     /// `cycle_local` + `account_cycle` pair collapses into one bulk
-    /// update per SM ([`Sm::fast_forward_window`]) and no pool dispatch
-    /// is needed. The SMs and the memory system provably cannot interact
+    /// update per SM ([`Sm::fast_forward_window`]). The SMs and the memory system provably cannot interact
     /// in-window, so applying all SM cycles before the memory ticks is
     /// state-equivalent to the interleaved per-tick order.
     fn run_fused_window(&mut self, w: u64) {
         let level = self.sm_clocks[0].level();
-        for i in 0..self.pool.num_sms() {
-            self.pool.sm_mut(i).fast_forward_window(w, level);
+        for sm in &mut self.sms {
+            sm.fast_forward_window(w, level);
         }
         self.advance_clocks_through_window(w);
     }
@@ -1363,15 +1308,15 @@ impl<'o> Engine<'o> {
         self.next_epoch_fs = t + self.epoch_span_fs;
         self.epoch_index += 1;
         let per_sm_vrm = self.config.per_sm_vrm;
-        let mut reports: Vec<SmEpochReport> = Vec::with_capacity(self.pool.num_sms());
-        for i in 0..self.pool.num_sms() {
+        let mut reports: Vec<SmEpochReport> = Vec::with_capacity(self.sms.len());
+        for i in 0..self.sms.len() {
             let clock = if per_sm_vrm {
                 &self.sm_clocks[i]
             } else {
                 &self.sm_clocks[0]
             };
             let sm_level = clock.level();
-            let sm = self.pool.sm_mut(i);
+            let sm = &mut self.sms[i];
             reports.push(SmEpochReport {
                 sm: sm.id(),
                 sm_level,
@@ -1382,7 +1327,7 @@ impl<'o> Engine<'o> {
             });
         }
         let (w_cta, resident_limit) = {
-            let sm = self.pool.sm_ref(0);
+            let sm = &self.sms[0];
             (sm.w_cta(), sm.resident_limit())
         };
         let ctx = EpochContext {
@@ -1430,8 +1375,7 @@ impl<'o> Engine<'o> {
             sm_time_at[i] /= nc;
         }
         let mut sm_events = [SmLevelEvents::default(); 3];
-        for i in 0..self.pool.num_sms() {
-            let sm = self.pool.sm_ref(i);
+        for sm in &self.sms {
             for (agg, ev) in sm_events.iter_mut().zip(sm.events().iter()) {
                 agg.issued += ev.issued;
                 agg.alu_ops += ev.alu_ops;
@@ -1442,9 +1386,10 @@ impl<'o> Engine<'o> {
             }
         }
         let per_sm_vrm = self.config.per_sm_vrm;
-        let sms = (0..self.pool.num_sms())
-            .map(|i| {
-                let sm = self.pool.sm_ref(i);
+        let sms = self
+            .sms
+            .iter()
+            .map(|sm| {
                 let clock = if per_sm_vrm {
                     &self.sm_clocks[sm.id()]
                 } else {
@@ -1483,12 +1428,10 @@ impl<'o> Engine<'o> {
     }
 
     fn apply_decision(&mut self, decision: &EpochDecision, now: Femtos) {
-        let n = self.pool.num_sms();
-        for (i, target) in decision.target_blocks.iter().take(n).enumerate() {
+        for (sm, target) in self.sms.iter_mut().zip(&decision.target_blocks) {
             let Some(t) = target else {
                 continue;
             };
-            let sm = self.pool.sm_mut(i);
             let before = sm.target_blocks();
             sm.set_target_blocks(*t);
             sm.fill(&mut self.gwde);
@@ -1814,20 +1757,6 @@ mod tests {
         assert_eq!(bare.wall_time_fs, observed.wall_time_fs);
         assert_eq!(bare.sm_cycles_at, observed.sm_cycles_at);
         assert_eq!(bare.warp_states, observed.warp_states);
-    }
-
-    #[test]
-    fn parallel_stepping_matches_serial() {
-        let config = small_config();
-        let kernel = alu_kernel(48, 1200);
-        let serial =
-            simulate_with(&config, &kernel, &mut StaticGovernor, SimOptions::default()).unwrap();
-        let opts = SimOptions {
-            threads: 2,
-            ..SimOptions::default()
-        };
-        let parallel = simulate_with(&config, &kernel, &mut StaticGovernor, opts).unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -71,17 +71,6 @@ pub struct SimOptions {
     /// Record the per-epoch timeline in [`RunStats::epochs`]. This
     /// installs the engine's bundled [`crate::engine::Recorder`] observer.
     pub record_epochs: bool,
-    /// OS threads for the SM-domain local phase (two-phase stepping).
-    ///
-    /// `0` and `1` both mean serial; values above the SM count are
-    /// clamped. The SMs are sharded into `threads` fixed partitions (one
-    /// serviced by the engine thread, the rest by persistent workers that
-    /// synchronise on atomic epoch counters — no locks on the hot path).
-    /// Results are bit-identical for every value — the local phase only
-    /// touches per-SM state and the commit phase stays serial in the
-    /// rotated service order — so this is purely a wall-clock knob.
-    /// Workers are only spawned when the effective value exceeds 1.
-    pub threads: usize,
     /// Upper bound on SM ticks per batched window.
     ///
     /// When the engine can prove a window of cycles contains no cross-SM
@@ -90,33 +79,14 @@ pub struct SimOptions {
     /// off, the memory system must be quiescent — every schedulable warp
     /// far enough from its next memory access and from program
     /// completion, and the invocation unable to end), it executes the
-    /// whole window in one dispatch instead of tick by tick. Windows
-    /// shorter than [`crate::engine::MIN_WINDOW_TICKS`] are refused:
-    /// proving them costs more host time than they save. Batching never
-    /// changes simulated results — `tests/parallel_determinism.rs` pins
-    /// bit-identical stats with batching on and off — so this too is
-    /// purely a wall-clock knob. Values below
+    /// whole window SM by SM instead of tick by tick. Windows shorter
+    /// than [`crate::engine::MIN_WINDOW_TICKS`] are refused: proving
+    /// them costs more host time than they save. Batching never changes
+    /// simulated results — `tests/reference_equivalence.rs` pins
+    /// bit-identical stats against the plain per-tick stepper — so this
+    /// is purely a wall-clock knob. Values below
     /// [`crate::engine::MIN_WINDOW_TICKS`] disable batching.
     pub max_batch_ticks: u64,
-    /// Spin iterations before a waiting pool thread parks (workers
-    /// waiting for the next dispatch generation) or downgrades to
-    /// `yield_now` (the engine waiting for partition completion).
-    ///
-    /// Low values hand the core back quickly on oversubscribed hosts;
-    /// high values keep the hand-off latency in the nanosecond range on
-    /// idle ones. Results are bit-identical for every value — the knob
-    /// only moves the spin-vs-park crossover — so this is purely a
-    /// wall-clock knob, tunable via `SIM_SPIN_LIMIT` in the harness.
-    pub spin_limit: u32,
-    /// Count pool/dispatch profiling events ([`crate::telemetry::PoolStats`]).
-    ///
-    /// When set, the pool maintains relaxed atomic counters (per-partition
-    /// busy ticks, jobs, spin iterations, park events) readable through
-    /// `Engine::pool_stats`. The counters live entirely outside
-    /// [`crate::stats::RunStats`] and the snapshot codec, so results stay
-    /// bit-identical whether profiling is on or off; the only cost is a
-    /// handful of relaxed increments per dispatch. Off by default.
-    pub profile: bool,
     /// Event-driven fast-forward (DESIGN.md §13). On by default.
     ///
     /// When set, batch windows no longer require the memory system to be
@@ -126,9 +96,9 @@ pub struct SimOptions {
     /// the per-cycle SM work entirely, bulk-applying the accounting in
     /// O(1). The issue stage also stops walking warps once its slots are
     /// full (on cycles where the skipped classification is provably
-    /// unobservable). Results are bit-identical on or off at any thread
-    /// count and `max_batch_ticks` — the `cargo xtask ci` fast-forward
-    /// gate enforces it — so this is purely a wall-clock knob. Off
+    /// unobservable). Results are bit-identical on or off at any
+    /// `max_batch_ticks` — the `cargo xtask ci` fast-forward gate
+    /// enforces it — so this is purely a wall-clock knob. Off
     /// restores PR 6 behavior: windows only over an idle memory system,
     /// full issue walks every cycle.
     pub fast_forward: bool,
@@ -139,10 +109,7 @@ impl Default for SimOptions {
         Self {
             max_cycles_per_invocation: 80_000_000,
             record_epochs: true,
-            threads: 1,
             max_batch_ticks: 1024,
-            spin_limit: 256,
-            profile: false,
             fast_forward: true,
         }
     }

@@ -41,6 +41,7 @@
 // Compiler-enforced backstop for the `no-unwrap` lint rule: library
 // code in this crate must not contain panicking escape hatches.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -80,7 +81,6 @@ pub mod gpu;
 pub mod gwde;
 pub mod kernel;
 pub mod memsys;
-mod pool;
 pub mod program;
 pub mod sm;
 pub mod snapshot;
@@ -106,5 +106,5 @@ pub mod prelude {
         AddressPattern, Instr, IterProfile, MemInstr, MemSpace, Program, Segment,
     };
     pub use crate::stats::{EpochRecord, RunStats};
-    pub use crate::telemetry::{BatchWindowStats, PartitionStats, PoolStats};
+    pub use crate::telemetry::BatchWindowStats;
 }

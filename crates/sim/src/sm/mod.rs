@@ -287,12 +287,6 @@ impl Sm {
             && self.pending.is_none()
     }
 
-    /// The response inbox the engine pre-drains memory responses into
-    /// before the local phase runs.
-    pub(crate) fn inbox_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.inbox
-    }
-
     /// Current LD/ST-unit queue occupancy (pending line accesses).
     pub fn lsu_occupancy(&self) -> usize {
         self.lsu.len()
@@ -313,10 +307,8 @@ impl Sm {
     ///
     /// Convenience wrapper over the two-phase pair: it pre-drains the
     /// response inbox, runs [`Sm::cycle_local`] and immediately
-    /// [`Sm::commit`]s. The engine interleaves the same three steps per
-    /// SM when running serially, and separates the phases when the local
-    /// phase runs on the worker pool — both orders are byte-identical
-    /// because the local phase never touches shared state.
+    /// [`Sm::commit`]s. The engine runs this for every due SM on each
+    /// per-tick step.
     pub fn cycle(
         &mut self,
         now: Femtos,
@@ -363,9 +355,9 @@ impl Sm {
     }
 
     /// Phase 2 of a cycle: the serial commit against shared state. The
-    /// engine calls this in the `mix64`-rotated service order, so
-    /// interconnect arbitration, back-pressure and GWDE block dispatch
-    /// are independent of how many threads ran the local phase.
+    /// engine calls this in the `mix64`-rotated service order, which
+    /// decides interconnect arbitration, back-pressure and GWDE block
+    /// dispatch.
     pub fn commit(&mut self, level: VfLevel, mem: &mut MemSystem, gwde: &mut Gwde) {
         let li = level.index();
 
@@ -394,8 +386,7 @@ impl Sm {
     /// when the engine has proven a window contains no staged access, no
     /// completed block and no VF transition, steps 5a/5b of the commit
     /// are no-ops and this is the *entire* observable effect of the
-    /// commit — it touches only this SM's own counters, so it is safe on
-    /// a worker thread.
+    /// commit — it touches only this SM's own counters.
     pub(crate) fn account_cycle(&mut self, level: VfLevel) {
         let snap = self.snapshot;
         if snap.active > 0 || self.busy() {
@@ -481,9 +472,9 @@ impl Sm {
     }
 
     /// The two batching horizons of this SM for a window whose first tick
-    /// completes at `first` (fixed `period_fs`): `(pool, fused)`.
+    /// completes at `first` (fixed `period_fs`): `(per_tick, fused)`.
     ///
-    /// `pool` bounds windows that still run [`Sm::cycle_local`] every
+    /// `per_tick` bounds windows that still run [`Sm::cycle_local`] every
     /// tick (the PR 6 discipline, relaxed to [`Sm::batch_ready`]): the
     /// minimum over schedulable warps of stagger/scoreboard delay plus
     /// [`Program::issue_runway`], so no shared-state event can occur
@@ -520,10 +511,10 @@ impl Sm {
             }
             None => u64::MAX,
         };
-        let mut pool_h = lr_cap;
+        let mut per_tick_h = lr_cap;
         let mut fused_h = if self.ccws.is_some() { 0 } else { lr_cap };
         for warp in self.warps.iter().flatten() {
-            if pool_h < min && fused_h < min {
+            if per_tick_h < min && fused_h < min {
                 break;
             }
             if warp.finished {
@@ -537,10 +528,10 @@ impl Sm {
             }
             if warp.at_barrier {
                 // Barrier release is SM-local and can happen in-window
-                // (pool only): bound by the runway from the advanced pc.
+                // (per-tick only): bound by the runway from the advanced pc.
                 // No fused constraint — release needs a sibling to
                 // execute `Sync`, and nothing issues in a fused window.
-                pool_h = pool_h.min(program.issue_runway(warp.pc, warp.block_index));
+                per_tick_h = per_tick_h.min(program.issue_runway(warp.pc, warp.block_index));
             } else if warp.pending_loads > 0 {
                 // Asleep on outstanding loads; inert for the whole window
                 // (see above).
@@ -551,11 +542,11 @@ impl Sm {
                     warp.ready_at,
                 ));
                 fused_h = fused_h.min(d);
-                pool_h =
-                    pool_h.min(d.saturating_add(program.issue_runway(warp.pc, warp.block_index)));
+                per_tick_h = per_tick_h
+                    .min(d.saturating_add(program.issue_runway(warp.pc, warp.block_index)));
             }
         }
-        (pool_h, fused_h)
+        (per_tick_h, fused_h)
     }
 
     /// Bulk-applies `w` cycles in which this SM provably does nothing:

@@ -30,9 +30,9 @@
 //! result-affecting field of the configuration, kernel and options, so
 //! restoring under a different machine fails up front with
 //! [`SnapshotError::MachineMismatch`] instead of silently diverging.
-//! Wall-clock-only knobs ([`SimOptions::threads`],
-//! [`SimOptions::max_batch_ticks`]) are excluded: a snapshot taken under
-//! one thread count restores bit-identically under any other.
+//! Wall-clock-only knobs ([`SimOptions::max_batch_ticks`],
+//! [`SimOptions::fast_forward`]) are excluded: a snapshot taken with
+//! batching on restores bit-identically with it off, and vice versa.
 //!
 //! Canonical-form rules keep the bytes deterministic:
 //!
@@ -494,13 +494,12 @@ fn fold_clock_config(fold: &mut Fold, c: &ClockConfig) {
 /// Fingerprint of the machine a snapshot belongs to: configuration,
 /// kernel identity and every *result-affecting* option.
 ///
-/// `threads`, `max_batch_ticks`, `spin_limit` and `profile` are
-/// wall-clock-only knobs — the partitioned stepping path is
-/// bit-identical at any setting and the profiling counters live outside
-/// results — so they are deliberately excluded: a snapshot taken
-/// serially restores under the full worker pool (and vice versa). The
-/// exhaustive destructuring of [`SimOptions`] below keeps that
-/// exclusion a conscious decision when new options appear.
+/// `max_batch_ticks` and `fast_forward` are wall-clock-only knobs —
+/// every fast path is bit-identical to the plain per-tick stepper — so
+/// they are deliberately excluded: a snapshot taken with batching on
+/// restores with it off (and vice versa). The exhaustive destructuring
+/// of [`SimOptions`] below keeps that exclusion a conscious decision
+/// when new options appear.
 pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &SimOptions) -> u64 {
     let mut fold = Fold::new(0x4551_534E_0000_0001); // "EQSN" v1 domain tag
     fold_gpu_config(&mut fold, config);
@@ -508,10 +507,7 @@ pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &Si
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        threads: _,         // wall-clock only: partitioning never changes results
         max_batch_ticks: _, // wall-clock only: batching never changes results
-        spin_limit: _,      // wall-clock only: spin-vs-park crossover
-        profile: _,         // wall-clock only: counters never touch results
         fast_forward: _,    // wall-clock only: fast-forward never changes results
     } = options;
     fold.add(*max_cycles_per_invocation);
@@ -793,15 +789,12 @@ mod tests {
         );
         let base = SimOptions::default();
         let fp = machine_fingerprint(&config, &kernel, &base);
-        let threaded = SimOptions {
-            threads: 8,
+        let reference = SimOptions {
             max_batch_ticks: 1,
-            spin_limit: 0,
-            profile: true,
             fast_forward: !base.fast_forward,
             ..base
         };
-        assert_eq!(fp, machine_fingerprint(&config, &kernel, &threaded));
+        assert_eq!(fp, machine_fingerprint(&config, &kernel, &reference));
         let longer = SimOptions {
             max_cycles_per_invocation: base.max_cycles_per_invocation + 1,
             ..base

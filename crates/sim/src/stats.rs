@@ -74,9 +74,9 @@ pub struct RunStats {
     /// SM ticks executed inside provably interaction-free batched
     /// windows (see `Engine::batched_ticks`). Divide by total SM cycles
     /// (`sm_cycles_at` summed × `num_sms`) for the batch-window hit
-    /// rate. Counts both pooled windows and fused stall windows (the
-    /// latter bypass the pool entirely, so they appear here but never
-    /// in `PoolStats` busy ticks). Diagnostic only: varies with
+    /// rate. Counts both per-SM windows and fused stall windows (see
+    /// `Engine::batch_window_stats` for the split). Diagnostic only:
+    /// varies with
     /// `SimOptions::max_batch_ticks` and `SimOptions::fast_forward`,
     /// and is excluded from equality.
     pub batched_ticks: u64,

@@ -1,24 +1,13 @@
-//! Pay-for-use hot-path telemetry: pool/dispatch profiling counters and
-//! the batch-window diagnostic.
+//! Hot-path telemetry: the batch-window diagnostic.
 //!
 //! Everything in this module is **diagnostic only**. The counters are
 //! deliberately kept outside [`crate::stats::RunStats`] and outside the
-//! snapshot codec, so a profiled run produces bit-identical results to
-//! an unprofiled one at every thread count (pinned by
-//! `tests/parallel_determinism.rs`). Two families live here:
-//!
-//! * [`PoolStats`] — a snapshot of the relaxed atomic counters owned by
-//!   the SM pool: per-partition busy ticks, jobs, spin iterations and
-//!   park events, plus the engine-side dispatch/wait counters. Only
-//!   maintained when [`crate::gpu::SimOptions::profile`] is set; the
-//!   counters are relaxed because they order nothing — the dispatch
-//!   hand-off is still carried entirely by the epoch/done
-//!   Release/Acquire pairs.
-//! * [`BatchWindowStats`] — the engine-thread breakdown of tick
-//!   batching: how many windows opened, their size distribution, what
-//!   bounded each window, and why each per-tick fallback happened.
-//!   These are plain engine-thread integers (no atomics needed) and are
-//!   recorded unconditionally — the cost is one enum match per SM step.
+//! snapshot codec, so reading them can never change a result.
+//! [`BatchWindowStats`] is the engine's breakdown of tick batching: how
+//! many windows opened, their size distribution, what bounded each
+//! window, and why each per-tick fallback happened. The counters are
+//! plain integers recorded unconditionally — the cost is one enum match
+//! per SM step.
 
 /// Log2 buckets in [`BatchWindowStats::size_histogram`]: bucket `i`
 /// counts windows of `2^(i+1) ..= 2^(i+2) - 1` ticks, with the last
@@ -26,62 +15,6 @@
 /// shorter than [`crate::engine::MIN_WINDOW_TICKS`], so the buckets
 /// below that length stay empty in engine-recorded stats.
 pub const WINDOW_SIZE_BUCKETS: usize = 11;
-
-/// Counters for one pool partition, as maintained by whichever thread
-/// owns the shard (a persistent worker, or the engine for partition 0
-/// and dead partitions).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// SM ticks executed by this partition: one per due SM per
-    /// dispatched tick (batched windows count every in-window tick).
-    pub busy_ticks: u64,
-    /// Jobs (dispatch generations) this partition has run.
-    pub jobs: u64,
-    /// Spin-loop iterations spent waiting for the next generation.
-    pub spins: u64,
-    /// Times the partition's worker gave up spinning and parked.
-    pub parks: u64,
-}
-
-/// A coherent snapshot of the pool's profiling counters.
-///
-/// Obtained from `Engine::pool_stats` between steps, when every
-/// partition is quiescent, so the relaxed loads observe complete
-/// values. All counters read zero unless the run was started with
-/// [`crate::gpu::SimOptions::profile`] set.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads actually running (0 for a serial pool).
-    pub workers: usize,
-    /// Dispatch generations published by the engine (inline dispatches
-    /// of a serial pool count too).
-    pub dispatches: u64,
-    /// Spin-loop iterations the engine spent waiting for partition
-    /// completion before downgrading to `yield_now`.
-    pub engine_spins: u64,
-    /// `yield_now` calls in the engine's completion wait.
-    pub engine_yields: u64,
-    /// Per-partition counters, indexed by partition id (partition 0 is
-    /// the engine thread's own shard).
-    pub partitions: Vec<PartitionStats>,
-}
-
-impl PoolStats {
-    /// Imbalance summary: `(max, min)` busy ticks over all partitions
-    /// (`(0, 0)` for an empty pool). A wide spread means the static
-    /// `i % nparts` sharding left some partition with systematically
-    /// heavier SMs.
-    pub fn busy_imbalance(&self) -> (u64, u64) {
-        let max = self.partitions.iter().map(|p| p.busy_ticks).max();
-        let min = self.partitions.iter().map(|p| p.busy_ticks).min();
-        (max.unwrap_or(0), min.unwrap_or(0))
-    }
-
-    /// Total SM ticks executed across every partition.
-    pub fn busy_total(&self) -> u64 {
-        self.partitions.iter().map(|p| p.busy_ticks).sum()
-    }
-}
 
 /// Why an SM tick could not open (or extend) a batched window, in the
 /// order the proof obligations are checked by `Engine`.
@@ -144,14 +77,14 @@ pub enum WindowBound {
     MemHorizon,
 }
 
-/// Engine-thread breakdown of tick batching: window sizes, what bounded
+/// The engine's breakdown of tick batching: window sizes, what bounded
 /// them, and why per-tick fallbacks happened.
 ///
 /// Replaces the bare `Engine::batched_ticks` count as the profiling
 /// surface (that accessor remains, and remains part of
 /// [`crate::stats::RunStats`]); everything here stays out of `RunStats`
-/// and out of snapshots. Deterministic at every thread count — the
-/// counters are driven purely by the engine's own proof attempts.
+/// and out of snapshots. Deterministic — the counters are driven purely
+/// by the engine's own proof attempts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchWindowStats {
     /// Batched windows opened.
@@ -297,23 +230,5 @@ mod tests {
         assert_eq!(stats.closed_mem_horizon, 1);
         assert_eq!(stats.closed_draining, 1);
         assert_eq!(stats.closes_total(), 6);
-    }
-
-    #[test]
-    fn imbalance_summary_spans_the_partitions() {
-        let mut pool = PoolStats::default();
-        assert_eq!(pool.busy_imbalance(), (0, 0));
-        pool.partitions = vec![
-            PartitionStats {
-                busy_ticks: 10,
-                ..PartitionStats::default()
-            },
-            PartitionStats {
-                busy_ticks: 4,
-                ..PartitionStats::default()
-            },
-        ];
-        assert_eq!(pool.busy_imbalance(), (10, 4));
-        assert_eq!(pool.busy_total(), 14);
     }
 }

@@ -1,5 +1,5 @@
 //! Snapshot/restore correctness: a run resumed from a mid-run snapshot
-//! must be bit-identical to an uninterrupted run, across thread counts
+//! must be bit-identical to an uninterrupted run, across fast-forward
 //! and tick-batching settings, and malformed snapshot bytes must fail
 //! with a typed error — never a panic.
 
@@ -69,28 +69,24 @@ fn resume_at_epoch_is_bit_identical() {
 }
 
 #[test]
-fn resume_is_bit_identical_across_threads_and_batching() {
+fn resume_is_bit_identical_across_fast_forward_and_batching() {
     let config = small_config();
     let kernel = mixed_kernel(48, 500);
     let variants = [
         SimOptions {
-            threads: 1,
+            fast_forward: false,
             max_batch_ticks: 0,
             ..SimOptions::default()
         },
         SimOptions {
-            threads: 1,
+            fast_forward: false,
             ..SimOptions::default()
         },
         SimOptions {
-            threads: config.num_sms,
             max_batch_ticks: 0,
             ..SimOptions::default()
         },
-        SimOptions {
-            threads: config.num_sms,
-            ..SimOptions::default()
-        },
+        SimOptions::default(),
     ];
     let reference = simulate_with(&config, &kernel, &mut StaticGovernor, variants[0]).unwrap();
 
@@ -99,7 +95,7 @@ fn resume_is_bit_identical_across_threads_and_batching() {
         run_to_epoch(&mut engine, 2);
         let bytes = engine.snapshot();
         // The fingerprint excludes the wall-clock-only knobs, so a
-        // snapshot restores under any threads/batching combination.
+        // snapshot restores under any fast-forward/batching combination.
         for resume_with in variants {
             let mut restored = Engine::restore(&config, &kernel, resume_with, &bytes).unwrap();
             assert_eq!(

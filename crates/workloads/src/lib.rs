@@ -20,6 +20,7 @@
 //! assert_eq!(kmn.warps_per_block(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

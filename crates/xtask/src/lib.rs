@@ -62,6 +62,8 @@
 //! `commit-only-mutation`, `lock-order`, `float-accum-order`) with the
 //! same escape hatch. See `DESIGN.md` §10.
 
+#![forbid(unsafe_code)]
+
 pub mod effects;
 pub mod model;
 pub mod rules;

@@ -13,22 +13,18 @@
 //!   With no paths, analyzes the workspace's analysis universe; explicit
 //!   paths form one call-graph universe. Exits non-zero on error-severity
 //!   findings; warnings are advisory.
-//! * `cargo xtask ci` — the offline CI driver: release build, the test
-//!   suite twice (`SIM_THREADS=1` and `SIM_THREADS=max`, exercising both
-//!   the serial and parallel engine stepping paths), the
-//!   `validate`-feature test suite under the thread pool, the
-//!   benchmark's self-tests (`simbench/`, a separate cargo package),
-//!   the lint pass, the effect-analysis pass (its JSON report lands in
+//! * `cargo xtask ci` — the offline CI driver: release build, the
+//!   workspace test suite (every crate's unit and integration tests),
+//!   the same suite with the `validate` sanitizers, the benchmark's
+//!   self-tests (`simbench/`, a separate cargo package), the lint pass,
+//!   the effect-analysis pass (its JSON report lands in
 //!   `target/analyze-report.json`), a `sim-report` artifact smoke test,
 //!   the fast-forward gate (`sim-ffcheck`: bit-identical `RunStats`
 //!   with `SimOptions::fast_forward` on vs off under every governor,
 //!   ≥ 50% batched-tick coverage on a stall-heavy workload, and a
-//!   ≥ 1.5× median serial speedup on 15-SM `mri-q`; runs on any core
-//!   count), a parallel-speedup gate (regenerate `BENCH_sim.json` via
-//!   the `perf_micro` bench and assert `parallel/mri-q` beats
-//!   `baseline-15sm/mri-q` by ≥2×; skipped loudly on hosts with fewer
-//!   than 4 cores, where the pool can only add overhead), and a
-//!   formatting check (skipped with a warning when rustfmt is absent).
+//!   ≥ 1.5× median serial speedup on 15-SM `mri-q`), the serving-layer
+//!   smoke test, and a formatting check (skipped with a warning when
+//!   rustfmt is absent).
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -209,16 +205,9 @@ fn cmd_analyze(args: &[String]) -> i32 {
 
 /// Runs one cargo step, streaming its output; returns success.
 fn run_step(cargo: &str, label: &str, args: &[&str]) -> bool {
-    run_step_env(cargo, label, args, &[])
-}
-
-/// Like [`run_step`], with extra environment variables for the child.
-fn run_step_env(cargo: &str, label: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
-    let prefix: String = envs.iter().map(|(k, v)| format!("{k}={v} ")).collect();
-    println!("==> {label}: {prefix}cargo {}", args.join(" "));
+    println!("==> {label}: cargo {}", args.join(" "));
     match Command::new(cargo)
         .args(args)
-        .envs(envs.iter().map(|&(k, v)| (k, v)))
         .current_dir(workspace_root())
         .status()
     {
@@ -234,29 +223,17 @@ fn run_step_env(cargo: &str, label: &str, args: &[&str], envs: &[(&str, &str)]) 
     }
 }
 
-/// One CI step: label, cargo arguments, extra environment.
-type CiStep<'a> = (&'a str, &'a [&'a str], &'a [(&'a str, &'a str)]);
-
 fn cmd_ci() -> i32 {
     let cargo = env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
 
-    // The test suite runs twice: serially, and with `SIM_THREADS=max`
-    // driving the engine's parallel two-phase stepping path wherever the
-    // harness runner is used. Both runs must pass — parallel stepping is
-    // bit-identical by contract, so any divergence is a real bug. The
-    // `validate` sanitizers also run under the thread pool.
-    let steps: &[CiStep] = &[
-        ("build", &["build", "--release"], &[]),
-        ("test (serial)", &["test", "-q"], &[("SIM_THREADS", "1")]),
+    // `--workspace` gates every crate's own unit and integration tests,
+    // not only the root package's suite.
+    let steps: &[(&str, &[&str])] = &[
+        ("build", &["build", "--release"]),
+        ("test", &["test", "-q", "--workspace"]),
         (
-            "test (parallel)",
-            &["test", "-q"],
-            &[("SIM_THREADS", "max")],
-        ),
-        (
-            "test (validate, parallel)",
-            &["test", "-q", "--features", "validate"],
-            &[("SIM_THREADS", "max")],
+            "test (validate)",
+            &["test", "-q", "--workspace", "--features", "validate"],
         ),
         // The benchmark is its own cargo package (empty `[workspace]`),
         // so the workspace test runs above never build or test it.
@@ -268,11 +245,10 @@ fn cmd_ci() -> i32 {
                 "--manifest-path",
                 "simbench/Cargo.toml",
             ],
-            &[],
         ),
     ];
-    for (label, args, envs) in steps {
-        if !run_step_env(&cargo, label, args, envs) {
+    for (label, args) in steps {
+        if !run_step(&cargo, label, args) {
             return 1;
         }
     }
@@ -353,13 +329,13 @@ fn cmd_ci() -> i32 {
     // Fast-forward gate: the event-driven batching must be invisible in
     // results and visible in wall clock. `sim-ffcheck` runs in-process
     // simulations asserting (1) RunStats bit-identity between
-    // `fast_forward` on and off under every governor family and a
-    // threaded pool run, (2) >= 50% batched-tick coverage on a
-    // stall-heavy workload (and strictly-better-than-quiescence
-    // coverage on the issue-saturated `mri-q`, which cannot reach 50%),
-    // and (3) a >= 1.5x median serial speedup on 15-SM `mri-q` over
-    // interleaved on/off pairs. A single core is enough: the fast path
-    // skips work rather than spreading it, so this gate never skips.
+    // `fast_forward` on and off under every governor family, (2) >= 50%
+    // batched-tick coverage on a stall-heavy workload (and
+    // strictly-better-than-quiescence coverage on the issue-saturated
+    // `mri-q`, which cannot reach 50%), and (3) a >= 1.5x median serial
+    // speedup on 15-SM `mri-q` over interleaved on/off pairs. A single
+    // core is enough: the fast path skips work rather than spreading
+    // it, so this gate never skips.
     if !run_step(
         &cargo,
         "fast-forward gate (sim-ffcheck)",
@@ -375,45 +351,10 @@ fn cmd_ci() -> i32 {
         return 1;
     }
 
-    // Parallel-speedup gate: the partitioned pool must actually win on
-    // a wide host. Regenerate the micro-benchmark (it rewrites
-    // `BENCH_sim.json` at the workspace root) and assert the
-    // `parallel/mri-q` row beats the serial `baseline-15sm/mri-q` row
-    // by the target margin. A host without real parallelism cannot
-    // observe a speedup — extra partitions only add dispatch overhead
-    // there — so below 4 cores the assertion is skipped, loudly, rather
-    // than faked.
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if cores >= 4 {
-        if !run_step(
-            &cargo,
-            "bench (perf_micro)",
-            &["bench", "-p", "equalizer-bench", "--bench", "perf_micro"],
-        ) {
-            return 1;
-        }
-        match check_parallel_speedup(&workspace_root().join("BENCH_sim.json")) {
-            Ok(msg) => println!("==> speedup: {msg}"),
-            Err(msg) => {
-                eprintln!("==> speedup failed: {msg}");
-                return 1;
-            }
-        }
-    } else {
-        println!(
-            "==> speedup: host has {cores} core(s); the worker pool cannot outrun the \
-             serial engine without real parallelism — skipping the \
-             {SPEEDUP_TARGET:.1}x assertion (needs >= 4 cores)"
-        );
-    }
-
     // Serving-layer smoke: spawn the daemon on a unix socket, drive a
     // duplicate-heavy mix through `sim-load` (which merges `serve/`
-    // rows into `BENCH_sim.json` — this step therefore runs AFTER the
-    // perf_micro bench, which rewrites that file), then query the live
-    // daemon's `Stats` frame through `sim-stat --selfcheck` (hits >= 1,
+    // rows into `BENCH_sim.json`), then query the live daemon's
+    // `Stats` frame through `sim-stat --selfcheck` (hits >= 1,
     // phase histograms coherent, valid stats JSON, rendered artifacts
     // under `target/serve-stats`). Gates: at least one cache hit, a
     // clean shutdown, and the caching/warm-start speedups the rows
@@ -451,10 +392,6 @@ fn cmd_ci() -> i32 {
     0
 }
 
-/// Minimum `baseline-15sm/mri-q` over `parallel/mri-q` mean-time ratio
-/// the CI speedup gate demands on hosts with at least 4 cores.
-const SPEEDUP_TARGET: f64 = 2.0;
-
 /// Extracts the `mean_ns` value of the named row from `BENCH_sim.json`
 /// text. The file is written by `equalizer_bench::timing::json_report`
 /// — one object per line with `"name": "..."` and `"mean_ns": N`
@@ -469,31 +406,6 @@ fn bench_mean_ns(json: &str, name: &str) -> Option<f64> {
         .take_while(char::is_ascii_digit)
         .collect();
     digits.parse::<f64>().ok()
-}
-
-/// Parses `BENCH_sim.json` and checks the parallel speedup target.
-/// Returns the human-readable verdict, `Err` when the target is missed
-/// or the rows are absent.
-fn check_parallel_speedup(path: &Path) -> Result<String, String> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| format!("could not read {}: {e}", path.display()))?;
-    let base = bench_mean_ns(&json, "baseline-15sm/mri-q")
-        .ok_or_else(|| "no baseline-15sm/mri-q row in BENCH_sim.json".to_string())?;
-    let par = bench_mean_ns(&json, "parallel/mri-q")
-        .ok_or_else(|| "no parallel/mri-q row in BENCH_sim.json".to_string())?;
-    let speedup = base / par.max(1.0);
-    if speedup >= SPEEDUP_TARGET {
-        Ok(format!(
-            "parallel/mri-q is {speedup:.2}x over baseline-15sm/mri-q \
-             (target {SPEEDUP_TARGET:.1}x)"
-        ))
-    } else {
-        Err(format!(
-            "parallel/mri-q is only {speedup:.2}x over baseline-15sm/mri-q \
-             (target {SPEEDUP_TARGET:.1}x); the partitioned pool must win \
-             on a multi-core host"
-        ))
-    }
 }
 
 /// Spawns the release `sim-serve` daemon on a scratch unix socket,

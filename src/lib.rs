@@ -11,6 +11,8 @@
 //! * [`equalizer_baselines`] — DynCTA, CCWS and static VF points
 //! * [`equalizer_harness`] — experiment runner and figure generators
 
+#![forbid(unsafe_code)]
+
 pub use equalizer_baselines as baselines;
 pub use equalizer_core as core;
 pub use equalizer_harness as harness;

@@ -119,47 +119,6 @@ fn random_kernels_terminate_and_conserve_instructions() {
     }
 }
 
-/// Parallel stepping is invisible: every random kernel produces
-/// bit-identical `RunStats` at `threads = 2` and serial, across varying
-/// SM counts and both VRM topologies.
-#[test]
-fn random_kernels_are_thread_invariant() {
-    use equalizer_sim::gpu::simulate_with;
-
-    let mut rng = SplitMix64::new(SEED ^ 4);
-    for case in 0..KERNEL_CASES {
-        let kernel = draw_kernel(&mut rng);
-        let mut config = small_config();
-        config.num_sms = 2 + rng.next_below(3) as usize;
-        config.per_sm_vrm = rng.next_below(2) == 1;
-        let serial = simulate_with(
-            &config,
-            &kernel,
-            &mut StaticGovernor,
-            SimOptions {
-                threads: 1,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("case {case}: serial run failed: {e}"));
-        let parallel = simulate_with(
-            &config,
-            &kernel,
-            &mut StaticGovernor,
-            SimOptions {
-                threads: 2,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("case {case}: parallel run failed: {e}"));
-        assert_eq!(
-            serial, parallel,
-            "case {case}: threads=2 diverged (num_sms={}, per_sm_vrm={})",
-            config.num_sms, config.per_sm_vrm
-        );
-    }
-}
-
 /// The window proof is invisible: under both VRM topologies every
 /// random kernel produces the same `RunStats` with default options as
 /// with the plain per-tick stepper (no fast-forward, no windows).
