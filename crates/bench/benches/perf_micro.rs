@@ -11,6 +11,7 @@ use equalizer_sim::config::GpuConfig;
 use equalizer_sim::counters::WarpStateCounters;
 use equalizer_sim::governor::StaticGovernor;
 use equalizer_sim::gpu::{simulate, SimOptions};
+use equalizer_sim::kernel::KernelSpec;
 use equalizer_workloads::kernel_by_name;
 use std::hint::black_box;
 
@@ -75,67 +76,64 @@ fn main() {
     println!("{r}");
     results.push(r);
 
-    // The perf set, serial on the full 15-SM GTX 480 with default
-    // options.
+    // The perf set, serial on the full 15-SM GTX 480: default options,
+    // then the fast paths off (`fastforward/*-off`, the quiescence-gated stepper:
+    // full issue walks, windows only over an idle memory system).
+    // Results are bit-identical by contract — the engine test suite pins
+    // that — so each pair is a pure wall-clock comparison. Every row
+    // carries its window coverage as extra JSON keys: `batched_ticks` out
+    // of `total_sm_ticks`, and the `fused_ticks` subset that skipped the
+    // pipeline entirely.
     let wide = GpuConfig::gtx480(); // 15 SMs
-    println!("\n=== perf set (15 SMs) ===");
-    for name in ["mri-q", "mmer", "cfd-2"] {
-        let kernel = kernel_by_name(name).expect("catalog kernel");
-        let r = bench(&format!("baseline-15sm/{name}"), sim_opts, || {
-            let stats = simulate(black_box(&wide), black_box(&kernel), &mut StaticGovernor)
-                .expect("simulation");
+    let engine_row = |label: String, kernel: &KernelSpec, opts: SimOptions| {
+        let mut coverage = (0u64, 0u64, 0u64);
+        let mut r = bench(&label, sim_opts, || {
+            let mut engine =
+                equalizer_sim::engine::Engine::new(black_box(&wide), black_box(kernel), opts)
+                    .expect("engine");
+            let stats = engine.run(&mut StaticGovernor).expect("simulation");
+            coverage = (
+                engine.batched_ticks(),
+                stats.sm_cycles_at.iter().sum(),
+                engine.batch_window_stats().fused_ticks,
+            );
             black_box(stats.instructions())
         });
-        println!("{r}");
-        results.push(r);
-    }
-
-    // Event-driven fast-forward on vs. off (PR 6 behaviour), serial on
-    // the full 15-SM machine. Results are bit-identical by contract —
-    // the engine test suite pins that — so the pair is a pure wall-clock
-    // comparison. Each `fastforward/*` row carries its window coverage
-    // as extra JSON keys: `batched_ticks` out of `total_sm_ticks`, and
-    // the `fused_ticks` subset that skipped the pipeline entirely.
-    println!("\n=== fast-forward (15 SMs, serial) ===");
+        let (batched, total, fused) = coverage;
+        r.extra = vec![
+            ("batched_ticks", batched),
+            ("total_sm_ticks", total),
+            ("fused_ticks", fused),
+        ];
+        println!(
+            "{r}\n{:<24} batched {batched}/{total} SM ticks ({:.1}%), fused {fused}",
+            "",
+            100.0 * batched as f64 / total.max(1) as f64,
+        );
+        r
+    };
+    println!("\n=== perf set (15 SMs, serial): default vs fast paths off ===");
     for name in ["mri-q", "mmer", "cfd-2"] {
         let kernel = kernel_by_name(name).expect("catalog kernel");
-        let mut pair = Vec::new();
-        for (suffix, fast_forward) in [("", true), ("-off", false)] {
-            let opts = SimOptions {
-                fast_forward,
-                ..SimOptions::default()
-            };
-            let mut coverage = (0u64, 0u64, 0u64);
-            let mut r = bench(&format!("fastforward/{name}{suffix}"), sim_opts, || {
-                let mut engine =
-                    equalizer_sim::engine::Engine::new(black_box(&wide), black_box(&kernel), opts)
-                        .expect("engine");
-                let stats = engine.run(&mut StaticGovernor).expect("simulation");
-                coverage = (
-                    engine.batched_ticks(),
-                    stats.sm_cycles_at.iter().sum(),
-                    engine.batch_window_stats().fused_ticks,
-                );
-                black_box(stats.instructions())
-            });
-            let (batched, total, fused) = coverage;
-            r.extra = vec![
-                ("batched_ticks", batched),
-                ("total_sm_ticks", total),
-                ("fused_ticks", fused),
-            ];
-            println!(
-                "{r}\n{:<24} batched {batched}/{total} SM ticks ({:.1}%), fused {fused}",
-                "",
-                100.0 * batched as f64 / total.max(1) as f64,
-            );
-            pair.push(r.median_ns);
-            results.push(r);
-        }
-        println!(
-            "    speedup {name}: {:.2}x (median, fast-forward on vs off)",
-            pair[1] as f64 / pair[0].max(1) as f64
+        let on = engine_row(
+            format!("baseline-15sm/{name}"),
+            &kernel,
+            SimOptions::default(),
         );
+        let off = engine_row(
+            format!("fastforward/{name}-off"),
+            &kernel,
+            SimOptions {
+                fast_forward: false,
+                ..SimOptions::default()
+            },
+        );
+        println!(
+            "    speedup {name}: {:.2}x (median, default vs fast-forward off)",
+            off.median_ns as f64 / on.median_ns.max(1) as f64
+        );
+        results.push(on);
+        results.push(off);
     }
 
     println!("\n=== decision cost ===");

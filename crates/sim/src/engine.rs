@@ -409,7 +409,7 @@ impl<'o> Engine<'o> {
         let mem_clock = DomainClock::new(config.mem_clock, config.initial_mem_level);
         let mut sms: Vec<Sm> = (0..config.num_sms).map(|i| Sm::new(i, config)).collect();
         if options.fast_forward {
-            // The issue-walk early exit rides the same knob as the
+            // The ready-set issue walk rides the same knob as the
             // window machinery; `restore` funnels through here, so a
             // restored engine arms it consistently too.
             for sm in &mut sms {

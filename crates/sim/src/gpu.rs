@@ -94,13 +94,15 @@ pub struct SimOptions {
     /// ([`crate::memsys::MemSystem::next_event_time`]) proves no response
     /// can reach an SM inside the window — and fully-stalled windows skip
     /// the per-cycle SM work entirely, bulk-applying the accounting in
-    /// O(1). The issue stage also stops walking warps once its slots are
-    /// full (on cycles where the skipped classification is provably
-    /// unobservable). Results are bit-identical on or off at any
-    /// `max_batch_ticks` — the `cargo xtask ci` fast-forward gate
-    /// enforces it — so this is purely a wall-clock knob. Off
-    /// restores PR 6 behavior: windows only over an idle memory system,
-    /// full issue walks every cycle.
+    /// O(1). The issue stage also takes the ready-set walk: it visits
+    /// only the warps whose scoreboard allows issue and counts the rest
+    /// of the exact per-cycle warp-state snapshot from bitmasks (the full
+    /// walk still runs while launch stagger counts down, for programs
+    /// with barriers, and past 64 scheduled warps). Results are
+    /// bit-identical on or off at any `max_batch_ticks` — the
+    /// `cargo xtask ci` fast-forward gate enforces it — so this is purely
+    /// a wall-clock knob. Off restores quiescence-gated batching: windows
+    /// only over an idle memory system, full issue walks every cycle.
     pub fast_forward: bool,
 }
 

@@ -171,9 +171,10 @@ pub struct Program {
     mem_dist: Vec<Vec<u32>>,
     /// Per segment: body index of the first `Mem`, if any.
     first_mem: Vec<Option<u32>>,
-    /// Whether any segment contains a `Sync`. Barriers execute
-    /// unconditionally in the issue walk (they consume no issue port), so
-    /// the fast-issue early exit must stay off for programs that have one.
+    /// Whether any segment contains a `Sync`. Barriers execute without
+    /// consuming an issue port and can release sibling warps mid-walk,
+    /// so programs that have one always take the full issue walk, never
+    /// the ready-set walk.
     has_sync: bool,
 }
 

@@ -58,6 +58,9 @@ impl Sm {
                 return;
             };
             w.complete_load();
+            if w.pending_loads == 0 {
+                self.ready_set.loads_drained(ws, w);
+            }
             (w.finished && w.pending_loads == 0, w.block_slot)
         };
         if drained {

@@ -34,6 +34,7 @@ use crate::kernel::KernelSpec;
 use crate::memsys::MemSystem;
 use crate::program::{AddressGen, MemInstr, Program};
 use crate::warp::Warp;
+use issue::ReadySet;
 
 /// SM-side event counts, indexed by the SM-domain VF level at event time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -137,10 +138,14 @@ pub struct Sm {
     completed_scratch: Vec<usize>,
     ccws: Option<CcwsState>,
     blocks_completed: u64,
-    /// Issue-walk early exit armed (the engine sets this when
-    /// [`crate::gpu::SimOptions::fast_forward`] is on). Not serialized:
-    /// restore rebuilds the engine from its own options.
+    /// Ready-set issue walk armed (the engine sets this when
+    /// [`crate::gpu::SimOptions::fast_forward`] is on); off, every cycle
+    /// takes the full walk. Not serialized: restore rebuilds the engine
+    /// from its own options.
     fast_issue: bool,
+    /// The ready-set walk's mirror of the scheduled warps. Derived state,
+    /// like `sched_order`: not serialized, rebuilt after decode.
+    ready_set: ReadySet,
     /// Resident warps whose launch stagger is still counting down.
     /// Maintained incrementally at launch and on every decrement; not
     /// serialized (recomputed from the warps on decode, like
@@ -191,14 +196,15 @@ impl Sm {
                 .map(|c| CcwsState::new(c, config.max_warps_per_sm)),
             blocks_completed: 0,
             fast_issue: false,
+            ready_set: ReadySet::new(),
             staggered: 0,
         }
     }
 
-    /// Arms the issue-walk early exit (engine-level `fast_forward` knob).
-    /// Observationally neutral: it only skips classification work after
-    /// the issue ports are exhausted, on cycles whose snapshot is never
-    /// sampled.
+    /// Arms the ready-set issue walk (engine-level `fast_forward` knob).
+    /// Observationally neutral: it issues the same warps as the full walk
+    /// and produces the same snapshot on every cycle; it only skips the
+    /// visits to warps that cannot issue.
     pub(crate) fn set_fast_issue(&mut self, on: bool) {
         self.fast_issue = on;
     }
@@ -222,6 +228,7 @@ impl Sm {
         self.blocks.iter_mut().for_each(|b| *b = None);
         self.launch_seq = 0;
         self.order_dirty = true;
+        self.ready_set.stale = true;
         self.lsu.clear();
         self.mshr.clear();
         self.local_ready.clear();
@@ -328,7 +335,7 @@ impl Sm {
     /// CCWS mask refresh and the issue stage. Accesses that need the
     /// shared interconnect/texture queues are staged in
     /// [`PendingAccess`]; completed blocks are parked for the retire
-    /// stage. Safe to run concurrently across SMs.
+    /// stage. Touches no state outside this SM.
     pub fn cycle_local(&mut self, now: Femtos, level: VfLevel, period_fs: Femtos) {
         self.cycles += 1;
         let li = level.index();
@@ -583,6 +590,7 @@ impl Sm {
             }
         }
         self.snapshot = snap;
+        self.ready_set.stale = true;
         let c0 = self.cycles;
         self.cycles += w;
         if snap.active > 0 || self.busy() {
@@ -790,8 +798,10 @@ impl Sm {
             };
         }
         self.launch_seq = r.u64()?;
-        // The cached scheduler order is not serialized; rebuild lazily.
+        // The cached scheduler order and its ready-set mirror are not
+        // serialized; rebuild lazily.
         self.order_dirty = true;
+        self.ready_set.stale = true;
         // Like sched_order, the stagger census is derived state.
         self.staggered = self
             .warps
@@ -989,7 +999,8 @@ pub(crate) fn get_sm_events(
 mod tests {
     use super::*;
     use crate::kernel::KernelCategory;
-    use crate::program::{Instr, MemSpace, Segment};
+    use crate::program::{AddressPattern, Instr, MemSpace, Segment};
+    use crate::util::SplitMix64;
 
     fn cfg() -> GpuConfig {
         let mut c = GpuConfig::gtx480();
@@ -1294,6 +1305,184 @@ mod tests {
             "oversized working sets must thrash (rate {})",
             sm.l1().hit_rate()
         );
+    }
+
+    /// Draws one instruction: dependent and independent ALU ops,
+    /// divergent streaming / working-set / texture loads, stores and
+    /// (when `sync`) barriers.
+    fn draw_instr(rng: &mut SplitMix64, sync: bool) -> Instr {
+        let accesses = 1 + rng.next_below(4) as u8;
+        let load = |pattern, space| {
+            Instr::Mem(MemInstr {
+                is_load: true,
+                pattern,
+                accesses,
+                space,
+            })
+        };
+        match rng.next_below(if sync { 10 } else { 9 }) {
+            0..=1 | 8 => Instr::alu(),
+            2..=3 => Instr::alu_dep(),
+            4 => load(AddressPattern::Streaming, MemSpace::Global),
+            5 => load(
+                AddressPattern::WorkingSet {
+                    lines: 1 + rng.next_below(40) as u32,
+                },
+                MemSpace::Global,
+            ),
+            6 => load(AddressPattern::Streaming, MemSpace::Texture),
+            7 => Instr::Mem(MemInstr {
+                is_load: false,
+                pattern: AddressPattern::Streaming,
+                accesses,
+                space: MemSpace::Global,
+            }),
+            _ => Instr::Sync,
+        }
+    }
+
+    /// The per-cycle lockstep check behind the ready-set walk: two SMs,
+    /// fast issue on and off, each with its own memory system and
+    /// dispatcher, must agree on the snapshot, the event counts and the
+    /// LD/ST queue after *every* cycle — not only on the sampled cycles
+    /// `RunStats` can see. Mid-run concurrency targets pause and unpause
+    /// blocks (order rebuilds). Returns the cycles on which the fast SM
+    /// took the ready-set walk, and those on which its scheduler order
+    /// was too long for it.
+    fn lockstep(
+        case: usize,
+        c: &GpuConfig,
+        kernel: &KernelSpec,
+        rng: &mut SplitMix64,
+    ) -> (u64, u64) {
+        const PERIOD: Femtos = 1_000_000;
+        let program = kernel.invocations()[0].program.clone();
+        let grid = kernel.invocations()[0].grid_blocks;
+        let mut sms = [Sm::new(0, c), Sm::new(0, c)];
+        sms[0].set_fast_issue(true);
+        let mut mems = [MemSystem::new(c), MemSystem::new(c)];
+        let mut gwdes = [Gwde::new(grid), Gwde::new(grid)];
+        for (sm, gwde) in sms.iter_mut().zip(&mut gwdes) {
+            sm.begin_invocation(kernel, 0, program.clone());
+            sm.fill(gwde);
+        }
+        let lsu = |sm: &Sm| -> Vec<(usize, u64, MemInstr, u64, u32)> {
+            sm.lsu
+                .iter()
+                .map(|e| {
+                    (
+                        e.warp_slot,
+                        e.warp_uid,
+                        e.instr,
+                        e.mem_counter,
+                        e.next_access,
+                    )
+                })
+                .collect()
+        };
+        let (mut now, mut cycle) = (0, 0u64);
+        let (mut ready_set_cycles, mut wide_cycles) = (0u64, 0u64);
+        while sms[1].busy() || !sms[1].quiescent() || !gwdes[1].drained() {
+            now += PERIOD;
+            cycle += 1;
+            let retarget = (cycle % 150 == 0).then(|| 1 + rng.next_below(8) as usize);
+            for ((sm, mem), gwde) in sms.iter_mut().zip(&mut mems).zip(&mut gwdes) {
+                if let Some(target) = retarget {
+                    sm.set_target_blocks(target);
+                    sm.fill(gwde);
+                }
+                mem.step(now, VfLevel::Nominal, PERIOD);
+                sm.cycle(now, VfLevel::Nominal, PERIOD, mem, gwde);
+                sm.fill(gwde);
+            }
+            let at = format!("case {case}, cycle {cycle}");
+            assert_eq!(sms[0].snapshot, sms[1].snapshot, "{at}: snapshot");
+            assert_eq!(sms[0].events, sms[1].events, "{at}: events");
+            assert_eq!(lsu(&sms[0]), lsu(&sms[1]), "{at}: LD/ST queue");
+            assert!(
+                sms[1].ready_set.stale,
+                "{at}: the full walk used the ready set"
+            );
+            ready_set_cycles += u64::from(!sms[0].ready_set.stale);
+            if sms[0].sched_order.len() > issue::READY_SET_WARPS {
+                assert!(
+                    sms[0].ready_set.stale,
+                    "{at}: wide order took the ready set"
+                );
+                wide_cycles += 1;
+            }
+            assert!(cycle < 2_000_000, "{at}: SM wedged");
+        }
+        assert!(
+            gwdes[0].drained() && !sms[0].busy(),
+            "case {case}: fast SM lagged"
+        );
+        assert_eq!(
+            sms[0].blocks_completed(),
+            grid,
+            "case {case}: grid incomplete"
+        );
+        (ready_set_cycles, wide_cycles)
+    }
+
+    #[test]
+    fn ready_set_walk_matches_the_full_walk_on_every_cycle() {
+        let mut rng = SplitMix64::new(0x5EED_0014_AB1E);
+        let mut ready_set_cycles = 0;
+        for case in 0..40 {
+            let mut c = cfg();
+            // Every fourth program has barriers (always the full walk),
+            // every fifth case runs CCWS, and every eighth case can hold
+            // more scheduler positions than the ready set has bits (the
+            // full walk while it does).
+            let sync = case % 4 == 1;
+            let wide = case % 8 == 6;
+            if case % 5 == 2 {
+                c.ccws = Some(crate::ccws::CcwsConfig::default());
+            }
+            if wide {
+                c.max_warps_per_sm = 96;
+            }
+            c.warp_launch_stagger = [0, 2, 8][rng.next_below(3) as usize];
+            c.issue_width = 1 + rng.next_below(4) as usize;
+            c.max_alu_issue = 1 + rng.next_below(c.issue_width as u64) as usize;
+            c.max_mem_issue = 1 + rng.next_below(c.issue_width as u64) as usize;
+            c.lsu_queue_cap = [2, 8][rng.next_below(2) as usize];
+            let mut segments: Vec<Segment> = (0..1 + rng.next_below(2))
+                .map(|_| {
+                    let len = 1 + rng.next_below(6) as usize;
+                    let body = (0..len).map(|_| draw_instr(&mut rng, sync)).collect();
+                    Segment::new(body, 1 + rng.next_below(24) as u32)
+                })
+                .collect();
+            if sync {
+                segments[0].body.push(Instr::Sync);
+            }
+            let w_cta = if wide {
+                12
+            } else {
+                1 + rng.next_below(8) as usize
+            };
+            let kernel = KernelSpec::new(
+                "lockstep",
+                KernelCategory::Unsaturated,
+                w_cta,
+                8,
+                vec![crate::kernel::Invocation {
+                    grid_blocks: if wide { 16 } else { 4 } + rng.next_below(20),
+                    program: Arc::new(Program::new(segments)),
+                }],
+            );
+            let (n, wide_cycles) = lockstep(case, &c, &kernel, &mut rng);
+            if sync {
+                assert_eq!(n, 0, "case {case}: a barrier program took the ready set");
+            }
+            if wide {
+                assert!(wide_cycles > 0, "case {case}: never exceeded the ready set");
+            }
+            ready_set_cycles += n;
+        }
+        assert!(ready_set_cycles > 0, "no case took the ready-set walk");
     }
 
     #[test]

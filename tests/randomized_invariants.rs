@@ -165,6 +165,122 @@ fn random_kernels_match_the_per_tick_stepper() {
     assert!(windowed_cases > 0, "no random kernel opened a window");
 }
 
+/// Draws a random kernel long enough to span several short epochs, so
+/// the governors pause and unpause blocks and change VF levels mid-run.
+/// One kernel in four keeps its barriers; the rest have them replaced by
+/// ALU ops, so most runs take the ready-set issue walk.
+fn draw_governed_kernel(rng: &mut SplitMix64) -> KernelSpec {
+    let keep_sync = rng.next_below(4) == 0;
+    let body_len = 1 + rng.next_below(7) as usize;
+    let body: Vec<Instr> = (0..body_len)
+        .map(|_| match draw_instr(rng) {
+            Instr::Sync if !keep_sync => Instr::alu(),
+            instr => instr,
+        })
+        .collect();
+    let iters = 10 + rng.next_below(40) as u32;
+    let w_cta = 1 + rng.next_below(8) as usize;
+    let max_blocks = 2 + rng.next_below(7) as usize;
+    let grid = 8 + rng.next_below(40);
+    KernelSpec::new(
+        "rand-governed",
+        KernelCategory::Unsaturated,
+        w_cta,
+        max_blocks,
+        vec![Invocation {
+            grid_blocks: grid,
+            program: Arc::new(Program::new(vec![Segment::new(body, iters)])),
+        }],
+    )
+}
+
+/// The fast paths are invisible under every governor family: random
+/// kernels produce the same `RunStats` (epoch records included) with
+/// default options as with the reference stepper under the static
+/// governor, Equalizer in both modes, DynCTA, CCWS and per-SM-VRM
+/// Equalizer. Block pausing rebuilds the scheduler order and CCWS gates
+/// memory issue per warp — exactly the state the ready-set issue walk
+/// mirrors.
+#[test]
+fn random_kernels_match_the_reference_under_every_governor() {
+    use equalizer_baselines::{with_ccws, DynCta};
+    use equalizer_core::Equalizer;
+    use equalizer_sim::ccws::CcwsConfig;
+    use equalizer_sim::governor::Governor;
+    use equalizer_sim::gpu::simulate_with;
+    use equalizer_sim::stats::RunStats;
+
+    type Family = (
+        &'static str,
+        fn(GpuConfig) -> (GpuConfig, Box<dyn Governor>),
+    );
+    let families: [Family; 6] = [
+        ("static", |c| (c, Box::new(StaticGovernor))),
+        ("equalizer-p", |c| {
+            let n = c.num_sms;
+            (c, Box::new(Equalizer::new(Mode::Performance, n)))
+        }),
+        ("equalizer-e", |c| {
+            let n = c.num_sms;
+            (c, Box::new(Equalizer::new(Mode::Energy, n)))
+        }),
+        ("dyncta", |c| (c, Box::new(DynCta::new()))),
+        ("ccws", |c| {
+            (
+                with_ccws(c, CcwsConfig::default()),
+                Box::new(StaticGovernor),
+            )
+        }),
+        ("per-sm-vrm", |mut c| {
+            c.per_sm_vrm = true;
+            let n = c.num_sms;
+            (
+                c,
+                Box::new(Equalizer::new(Mode::Energy, n).with_per_sm_vrm(true)),
+            )
+        }),
+    ];
+    let reference = SimOptions {
+        fast_forward: false,
+        max_batch_ticks: 1,
+        ..SimOptions::default()
+    };
+    let run = |make: fn(GpuConfig) -> (GpuConfig, Box<dyn Governor>),
+               kernel: &KernelSpec,
+               options: SimOptions,
+               at: &str|
+     -> RunStats {
+        let mut base = small_config();
+        // Short epochs, so governors act several times per kernel.
+        base.epoch_cycles = 512;
+        let (config, mut governor) = make(base);
+        let mut stats = simulate_with(&config, kernel, governor.as_mut(), options)
+            .unwrap_or_else(|e| panic!("{at}: run failed: {e}"));
+        stats.batched_ticks = 0;
+        stats
+    };
+    let mut rng = SplitMix64::new(SEED ^ 6);
+    let mut acted = 0;
+    for case in 0..16 {
+        let kernel = draw_governed_kernel(&mut rng);
+        for (name, make) in families {
+            let at = format!("case {case} ({name})");
+            let plain = run(make, &kernel, reference, &at);
+            let default = run(make, &kernel, SimOptions::default(), &at);
+            assert_eq!(
+                default, plain,
+                "{at}: default options diverged from the reference stepper"
+            );
+            acted += usize::from(plain.epochs.windows(2).any(|w| {
+                w[0].mean_target_blocks.to_bits() != w[1].mean_target_blocks.to_bits()
+                    || w[0].sm_level != w[1].sm_level
+                    || w[0].mem_level != w[1].mem_level
+            }));
+        }
+    }
+    assert!(acted > 0, "no governor changed blocks or levels mid-run");
+}
+
 /// Throttling concurrency never deadlocks and never changes the work.
 #[test]
 fn fixed_block_throttling_conserves_work() {

@@ -1,5 +1,5 @@
 //! Every fast path is a pure wall-clock optimisation: with default
-//! options (fast-issue exit, event-driven fast-forward, batched and
+//! options (ready-set issue walk, event-driven fast-forward, batched and
 //! fused windows) the engine must produce bit-identical `RunStats` —
 //! epoch timelines included — to the reference stepper, the plain
 //! per-tick serial path with every fast path off. These tests pin that
@@ -106,7 +106,7 @@ fn mshr_pressure_matches_the_reference() {
 fn per_sm_vrm_runs_match_the_reference() {
     // Per-SM VRMs drift the SM clocks apart, so different subsets of SMs
     // are due each tick; batching is off on this machine, but the
-    // fast-issue exit still runs.
+    // ready-set issue walk still runs.
     let mut config = GpuConfig::gtx480();
     config.num_sms = 6;
     config.per_sm_vrm = true;
