@@ -77,36 +77,26 @@ fn main() {
     results.push(r);
 
     // The perf set, serial on the full 15-SM GTX 480: default options,
-    // then the fast paths off (`fastforward/*-off`, the quiescence-gated stepper:
-    // full issue walks, windows only over an idle memory system).
-    // Results are bit-identical by contract — the engine test suite pins
-    // that — so each pair is a pure wall-clock comparison. Every row
-    // carries its window coverage as extra JSON keys: `batched_ticks` out
-    // of `total_sm_ticks`, and the `fused_ticks` subset that skipped the
-    // pipeline entirely.
+    // then the reference stepper (`fastforward/*-off`: full issue walks,
+    // no windows). Results are bit-identical by contract — the engine
+    // test suite pins that — so each pair is a pure wall-clock
+    // comparison. Every row carries its window coverage as extra JSON
+    // keys: `batched_ticks` out of `total_sm_ticks`.
     let wide = GpuConfig::gtx480(); // 15 SMs
     let engine_row = |label: String, kernel: &KernelSpec, opts: SimOptions| {
-        let mut coverage = (0u64, 0u64, 0u64);
+        let mut coverage = (0u64, 0u64);
         let mut r = bench(&label, sim_opts, || {
             let mut engine =
                 equalizer_sim::engine::Engine::new(black_box(&wide), black_box(kernel), opts)
                     .expect("engine");
             let stats = engine.run(&mut StaticGovernor).expect("simulation");
-            coverage = (
-                engine.batched_ticks(),
-                stats.sm_cycles_at.iter().sum(),
-                engine.batch_window_stats().fused_ticks,
-            );
+            coverage = (engine.batched_ticks(), stats.sm_cycles_at.iter().sum());
             black_box(stats.instructions())
         });
-        let (batched, total, fused) = coverage;
-        r.extra = vec![
-            ("batched_ticks", batched),
-            ("total_sm_ticks", total),
-            ("fused_ticks", fused),
-        ];
+        let (batched, total) = coverage;
+        r.extra = vec![("batched_ticks", batched), ("total_sm_ticks", total)];
         println!(
-            "{r}\n{:<24} batched {batched}/{total} SM ticks ({:.1}%), fused {fused}",
+            "{r}\n{:<24} batched {batched}/{total} SM ticks ({:.1}%)",
             "",
             100.0 * batched as f64 / total.max(1) as f64,
         );

@@ -191,7 +191,9 @@ mod tests {
     #[test]
     fn profiled_run_matches_plain_run() {
         let config = GpuConfig::gtx480();
-        let kernel = kernel_by_name("mmer").unwrap();
+        // prtcl-2 runs most of its ticks inside batched windows, so both
+        // step shapes (per-tick and window) are profiled.
+        let kernel = kernel_by_name("prtcl-2").unwrap();
         let mut plain = Engine::new(&config, &kernel, SimOptions::default()).unwrap();
         plain.run(&mut StaticGovernor).unwrap();
         let expected = plain.stats();
@@ -207,7 +209,7 @@ mod tests {
 
         // Every SM tick is counted once, whether it ran per-tick or
         // inside a window, so the tick total is the shared SM clock's.
-        assert!(stats.batched_ticks > 0, "mmer must open windows");
+        assert!(stats.batched_ticks > 0, "prtcl-2 must open windows");
         assert_eq!(profile.sm_ticks(), stats.sm_cycles_at.iter().sum::<u64>());
         assert_eq!(
             profile.sm_cycle.ticks,

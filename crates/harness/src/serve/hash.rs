@@ -22,10 +22,10 @@
 //!   `Runner::system_setup` actually hands the engine — because several
 //!   systems (static VF points, per-SM VRM, CCWS) modify it.
 //! * Every [`SimOptions`] field participates, including the wall-clock
-//!   -only knobs (`max_batch_ticks`, `fast_forward`): `RunStats` *encodes*
-//!   `batched_ticks`, so byte-identity of cached results requires
-//!   keying on them. Exhaustive destructuring makes adding a field a
-//!   compile error until it is folded.
+//!   -only `fast_forward` switch: `RunStats` *encodes* `batched_ticks`,
+//!   so byte-identity of cached results requires keying on it.
+//!   Exhaustive destructuring makes adding a field a compile error until
+//!   it is folded.
 //! * Nothing time-dependent enters the fold (the lint universe bans
 //!   `SystemTime` outright in this module tree), so a key computed
 //!   today matches the same request forever.
@@ -49,15 +49,13 @@ fn fold_options(fold: &mut Fold, options: &SimOptions) {
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        max_batch_ticks,
         fast_forward,
     } = *options;
     fold.add(max_cycles_per_invocation);
     fold.add(u64::from(record_epochs));
-    fold.add(max_batch_ticks);
-    // Like max_batch_ticks: results are bit-identical either way, but the
-    // encoded RunStats carry `batched_ticks`, so cached bytes must key on
-    // anything that can change it.
+    // Results are bit-identical either way, but the encoded RunStats
+    // carry `batched_ticks`, so cached bytes must key on anything that
+    // can change it.
     fold.add(u64::from(fast_forward));
 }
 
@@ -143,7 +141,7 @@ mod tests {
             result_key(&config, &other_kernel, &options, System::DynCta, 0)
         );
         let other_options = SimOptions {
-            max_batch_ticks: 0,
+            fast_forward: false,
             ..options
         };
         assert_ne!(

@@ -116,12 +116,6 @@ pub struct ServerStats {
     /// SM ticks executed inside batched windows, summed over every
     /// simulation this daemon ran (the fast-forward coverage numerator).
     pub batched_ticks: u64,
-    /// The subset of `batched_ticks` executed in *fused* windows, where
-    /// the per-cycle pipeline was skipped entirely.
-    pub fused_ticks: u64,
-    /// Batch windows closed because the memory system's next event was
-    /// too near (`BatchClose::MemHorizon`), summed over simulations.
-    pub mem_horizon_closes: u64,
 }
 
 impl ServerStats {
@@ -129,7 +123,7 @@ impl ServerStats {
     /// registration-stable order — the single source of truth for every
     /// exposition surface (summary table, CSV, trace), so renderers can
     /// never disagree on naming or ordering.
-    pub fn named(&self) -> [(&'static str, u64); 12] {
+    pub fn named(&self) -> [(&'static str, u64); 10] {
         // Exhaustive destructuring: a new tally must be named to build.
         let ServerStats {
             requests,
@@ -142,8 +136,6 @@ impl ServerStats {
             warm_hits,
             snapshot_evictions,
             batched_ticks,
-            fused_ticks,
-            mem_horizon_closes,
         } = *self;
         [
             ("serve.requests", requests),
@@ -156,8 +148,6 @@ impl ServerStats {
             ("serve.warm_hits", warm_hits),
             ("serve.snapshot_evictions", snapshot_evictions),
             ("serve.batched_ticks", batched_ticks),
-            ("serve.fused_ticks", fused_ticks),
-            ("serve.mem_horizon_closes", mem_horizon_closes),
         ]
     }
 }
@@ -397,12 +387,10 @@ fn put_options(w: &mut Writer, options: &SimOptions) {
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        max_batch_ticks,
         fast_forward,
     } = *options;
     w.u64(max_cycles_per_invocation);
     w.bool(record_epochs);
-    w.u64(max_batch_ticks);
     w.bool(fast_forward);
 }
 
@@ -410,7 +398,6 @@ fn get_options(r: &mut Reader<'_>) -> Result<SimOptions, SnapshotError> {
     Ok(SimOptions {
         max_cycles_per_invocation: r.u64()?,
         record_epochs: r.bool()?,
-        max_batch_ticks: r.u64()?,
         fast_forward: r.bool()?,
     })
 }
@@ -506,8 +493,6 @@ fn put_server_stats(w: &mut Writer, stats: &ServerStats) {
         warm_hits,
         snapshot_evictions,
         batched_ticks,
-        fused_ticks,
-        mem_horizon_closes,
     } = *stats;
     for v in [
         requests,
@@ -520,8 +505,6 @@ fn put_server_stats(w: &mut Writer, stats: &ServerStats) {
         warm_hits,
         snapshot_evictions,
         batched_ticks,
-        fused_ticks,
-        mem_horizon_closes,
     ] {
         w.u64(v);
     }
@@ -539,8 +522,6 @@ fn get_server_stats(r: &mut Reader<'_>) -> Result<ServerStats, SnapshotError> {
         warm_hits: r.u64()?,
         snapshot_evictions: r.u64()?,
         batched_ticks: r.u64()?,
-        fused_ticks: r.u64()?,
-        mem_horizon_closes: r.u64()?,
     })
 }
 
@@ -685,7 +666,7 @@ mod tests {
                 seed: Some(7),
                 num_sms: Some(4),
                 options: SimOptions {
-                    max_batch_ticks: 1,
+                    fast_forward: false,
                     ..SimOptions::default()
                 },
                 system,

@@ -271,12 +271,10 @@ impl Server {
             st.phases.simulate.record(sim_ns);
             st.in_flight.remove(&key);
             match ran {
-                Ok((stats_bytes, warm_hit, windows)) => {
+                Ok((stats_bytes, warm_hit, batched_ticks)) => {
                     st.results.store(key, Arc::new(stats_bytes.clone()));
                     st.tally.simulations += 1;
-                    st.tally.batched_ticks += windows.batched_ticks;
-                    st.tally.fused_ticks += windows.fused_ticks;
-                    st.tally.mem_horizon_closes += windows.mem_horizon_closes;
+                    st.tally.batched_ticks += batched_ticks;
                     if warm_hit {
                         st.tally.warm_hits += 1;
                     }
@@ -302,24 +300,20 @@ impl Server {
 
     /// Runs the simulation itself: cold from cycle 0, or warm-started
     /// from a (possibly memoized) prefix snapshot. Returns the encoded
-    /// statistics, whether a snapshot was reused, and the run's
-    /// batch-window aggregate for the daemon tallies.
+    /// statistics, whether a snapshot was reused, and the run's batched
+    /// SM ticks for the `serve.batched_ticks` tally.
     fn drive_to_completion(
         &self,
         config: &GpuConfig,
         kernel: &KernelSpec,
         req: &SimulateRequest,
         governor: &mut dyn Governor,
-    ) -> Result<(Vec<u8>, bool, WindowTally), String> {
+    ) -> Result<(Vec<u8>, bool, u64), String> {
         let sim_err = |e: SimError| format!("simulation failed: {e}");
         if req.warm_epochs == 0 {
             let mut engine = Engine::new(config, kernel, req.options).map_err(sim_err)?;
             let stats = engine.run(governor).map_err(sim_err)?;
-            return Ok((
-                encode_run_stats(&stats),
-                false,
-                WindowTally::from_engine(&engine),
-            ));
+            return Ok((encode_run_stats(&stats), false, engine.batched_ticks()));
         }
 
         let pkey = hash::prefix_key(config, kernel, &req.options, req.warm_epochs);
@@ -349,29 +343,7 @@ impl Server {
             }
         };
         let stats = engine.run(governor).map_err(sim_err)?;
-        let windows = WindowTally::from_engine(&engine);
-        Ok((encode_run_stats(&stats), warm_hit, windows))
-    }
-}
-
-/// The slice of one engine's batch-window diagnostic that feeds the
-/// daemon tallies (`serve.batched_ticks` / `serve.fused_ticks` /
-/// `serve.mem_horizon_closes`).
-#[derive(Debug, Clone, Copy, Default)]
-struct WindowTally {
-    batched_ticks: u64,
-    fused_ticks: u64,
-    mem_horizon_closes: u64,
-}
-
-impl WindowTally {
-    fn from_engine(engine: &Engine<'_>) -> Self {
-        let bw = engine.batch_window_stats();
-        Self {
-            batched_ticks: engine.batched_ticks(),
-            fused_ticks: bw.fused_ticks,
-            mem_horizon_closes: bw.closed_mem_horizon,
-        }
+        Ok((encode_run_stats(&stats), warm_hit, engine.batched_ticks()))
     }
 }
 

@@ -4,13 +4,10 @@
 //! stores tags only — the simulator never materialises data — and counts
 //! accesses, hits and evictions.
 //!
-//! The cache contributes **no term** to the memory system's
-//! event horizon (`MemSystem::next_event_time`): lookups are
-//! combinational — probe and fill resolve in the same tick they are
-//! issued, with no state that evolves between accesses — so a cache can
-//! never be the *first* externally visible event after a quiet stretch.
-//! Only queued traffic (MSHR completions, DRAM banks, the interconnect)
-//! bounds the horizon.
+//! Lookups are combinational — probe and fill resolve in the same tick
+//! they are issued, with no state that evolves between accesses — so an
+//! idle memory system fast-forwards (`MemSystem::fast_forward`) without
+//! touching its caches.
 
 use crate::config::CacheConfig;
 

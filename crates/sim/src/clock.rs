@@ -232,49 +232,6 @@ impl DomainClock {
     }
 }
 
-/// How many ticks of a domain whose next tick completes at `first` (with a
-/// fixed `period`) finish *strictly before* time `t` — i.e. the largest `n`
-/// with `first + (n-1)·period < t`, or `0` when even the first tick is not
-/// strictly earlier. Batching uses this to cap a window so that every
-/// in-window tick of one domain precedes an event at `t` in another.
-pub(crate) fn ticks_strictly_before(first: Femtos, period: Femtos, t: Femtos) -> u64 {
-    debug_assert!(period > 0, "clock period must be positive");
-    if first >= t {
-        0
-    } else {
-        (t - 1 - first) / period + 1
-    }
-}
-
-#[cfg(test)]
-mod ticks_before_tests {
-    use super::ticks_strictly_before;
-
-    #[test]
-    fn counts_ticks_strictly_before_the_deadline() {
-        // first=10, period=3 -> ticks at 10, 13, 16, ...
-        assert_eq!(ticks_strictly_before(10, 3, 10), 0);
-        assert_eq!(ticks_strictly_before(10, 3, 11), 1);
-        assert_eq!(ticks_strictly_before(10, 3, 13), 1);
-        assert_eq!(ticks_strictly_before(10, 3, 14), 2);
-        assert_eq!(ticks_strictly_before(10, 3, 16), 2);
-        assert_eq!(ticks_strictly_before(10, 3, 17), 3);
-        assert_eq!(ticks_strictly_before(10, 3, 9), 0);
-        // Matches the definition by brute force.
-        for first in [1u64, 7, 12] {
-            for period in [1u64, 2, 5] {
-                for t in 0..40 {
-                    let mut n = 0;
-                    while first + n * period < t {
-                        n += 1;
-                    }
-                    assert_eq!(ticks_strictly_before(first, period, t), n);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,9 +7,9 @@
 //!
 //! Everything here describes the simulated *hardware* and therefore
 //! affects results. Knobs that only change how fast the host simulates
-//! that hardware — tick batching and the event-driven
-//! fast-forward path (`fast_forward`, default on; off restores the
-//! conservative quiescence-gated batching) — live on
+//! that hardware — the fast paths behind `fast_forward` (tick batching
+//! and the ready-set issue walk; default on, off is the reference
+//! stepper) — live on
 //! [`SimOptions`](crate::gpu::SimOptions) instead, and are guaranteed
 //! not to change `RunStats`.
 
@@ -203,7 +203,7 @@ pub struct GpuConfig {
     /// (§V-A1); this switch implements that variant. Epoch boundaries are
     /// then defined in wall time (4096 nominal SM cycles) since the SM
     /// clocks may drift apart. Drifted per-SM clocks also disable tick
-    /// batching ([`crate::gpu::SimOptions::max_batch_ticks`]), which
+    /// batching (see [`crate::gpu::SimOptions::fast_forward`]), which
     /// requires one shared SM tick sequence.
     pub per_sm_vrm: bool,
     /// Initial VF level of the SM domain.

@@ -99,33 +99,6 @@ impl WarpStateCounters {
         self.samples = self.samples.saturating_add(1);
     }
 
-    /// Adds the same snapshot `k` times at once — the bulk form used by
-    /// fused fast-forward windows, where every skipped cycle provably
-    /// samples an identical snapshot. Each saturating per-sample add is
-    /// monotone, so `k` repeats and one fold clamp at the same point:
-    /// this is bit-identical to `k` [`WarpStateCounters::sample`] calls.
-    pub fn sample_n(&mut self, snap: &CycleSnapshot, k: u64) {
-        self.active = self
-            .active
-            .saturating_add(u64::from(snap.active).saturating_mul(k));
-        self.waiting = self
-            .waiting
-            .saturating_add(u64::from(snap.waiting).saturating_mul(k));
-        self.issued = self
-            .issued
-            .saturating_add(u64::from(snap.issued).saturating_mul(k));
-        self.excess_alu = self
-            .excess_alu
-            .saturating_add(u64::from(snap.excess_alu).saturating_mul(k));
-        self.excess_mem = self
-            .excess_mem
-            .saturating_add(u64::from(snap.excess_mem).saturating_mul(k));
-        self.others = self
-            .others
-            .saturating_add(u64::from(snap.others).saturating_mul(k));
-        self.samples = self.samples.saturating_add(k);
-    }
-
     /// Mean active warps per sample.
     pub fn avg_active(&self) -> f64 {
         self.mean(self.active)
@@ -301,28 +274,6 @@ mod tests {
         assert_eq!(a.active, 2);
         assert_eq!(a.samples, 14);
         assert_eq!(a.cycles, 18);
-    }
-
-    #[test]
-    fn sample_n_matches_repeated_samples_even_when_saturating() {
-        let mut snap = CycleSnapshot::default();
-        snap.record(WarpState::Waiting);
-        snap.record(WarpState::Waiting);
-        snap.record(WarpState::Others);
-        let near_edge = WarpStateCounters {
-            waiting: u64::MAX - 5,
-            ..WarpStateCounters::default()
-        };
-        let mut repeated = near_edge;
-        let mut bulk = near_edge;
-        for _ in 0..13 {
-            repeated.sample(&snap);
-        }
-        bulk.sample_n(&snap, 13);
-        assert_eq!(repeated, bulk, "bulk sampling must clamp at the same point");
-        assert_eq!(bulk.waiting, u64::MAX);
-        assert_eq!(bulk.others, 13);
-        assert_eq!(bulk.samples, 13);
     }
 
     #[test]

@@ -71,38 +71,24 @@ pub struct SimOptions {
     /// Record the per-epoch timeline in [`RunStats::epochs`]. This
     /// installs the engine's bundled [`crate::engine::Recorder`] observer.
     pub record_epochs: bool,
-    /// Upper bound on SM ticks per batched window.
+    /// The simulator's fast paths (DESIGN.md §13). On by default.
     ///
-    /// When the engine can prove a window of cycles contains no cross-SM
-    /// interaction (no VF transition pending, no memory response able to
-    /// reach an SM inside the window — with [`SimOptions::fast_forward`]
-    /// off, the memory system must be quiescent — every schedulable warp
-    /// far enough from its next memory access and from program
-    /// completion, and the invocation unable to end), it executes the
-    /// whole window SM by SM instead of tick by tick. Windows shorter
-    /// than [`crate::engine::MIN_WINDOW_TICKS`] are refused: proving
-    /// them costs more host time than they save. Batching never changes
-    /// simulated results — `tests/reference_equivalence.rs` pins
-    /// bit-identical stats against the plain per-tick stepper — so this
-    /// is purely a wall-clock knob. Values below
-    /// [`crate::engine::MIN_WINDOW_TICKS`] disable batching.
-    pub max_batch_ticks: u64,
-    /// Event-driven fast-forward (DESIGN.md §13). On by default.
-    ///
-    /// When set, batch windows no longer require the memory system to be
-    /// *quiescent* — only that its conservative next-event horizon
-    /// ([`crate::memsys::MemSystem::next_event_time`]) proves no response
-    /// can reach an SM inside the window — and fully-stalled windows skip
-    /// the per-cycle SM work entirely, bulk-applying the accounting in
-    /// O(1). The issue stage also takes the ready-set walk: it visits
-    /// only the warps whose scoreboard allows issue and counts the rest
-    /// of the exact per-cycle warp-state snapshot from bitmasks (the full
-    /// walk still runs while launch stagger counts down, for programs
-    /// with barriers, and past 64 scheduled warps). Results are
-    /// bit-identical on or off at any `max_batch_ticks` — the
-    /// `cargo xtask ci` fast-forward gate enforces it — so this is purely
-    /// a wall-clock knob. Off restores quiescence-gated batching: windows
-    /// only over an idle memory system, full issue walks every cycle.
+    /// Two wall-clock optimisations ride this switch. The issue stage
+    /// takes the ready-set walk: it visits only the warps whose
+    /// scoreboard allows issue and counts the rest of the exact
+    /// per-cycle warp-state snapshot from bitmasks (the full walk still
+    /// runs while launch stagger counts down, for programs with
+    /// barriers, and past 64 scheduled warps). And the engine opens
+    /// batched *runway windows*: when the memory system and every SM are
+    /// quiescent, no VF transition is pending and every schedulable warp
+    /// is at least [`crate::engine::MIN_WINDOW_TICKS`] instructions from
+    /// its next memory access and from program completion, it runs the
+    /// whole window SM by SM instead of tick by tick. Results are
+    /// bit-identical on or off — `tests/reference_equivalence.rs` and
+    /// the `cargo xtask ci` fast-forward gate enforce it — so this is
+    /// purely a wall-clock knob. Off is the reference stepper every
+    /// fast path is checked against: one SM tick per engine step, full
+    /// issue walks every cycle, no windows.
     pub fast_forward: bool,
 }
 
@@ -111,7 +97,6 @@ impl Default for SimOptions {
         Self {
             max_cycles_per_invocation: 80_000_000,
             record_epochs: true,
-            max_batch_ticks: 1024,
             fast_forward: true,
         }
     }

@@ -230,71 +230,6 @@ impl MemSystem {
         }
     }
 
-    /// Earliest ready time over every SM's pending-response heap.
-    fn earliest_response_ready(&self) -> Option<Femtos> {
-        self.responses
-            .iter()
-            .filter_map(|heap| heap.peek().map(|Reverse((ready, _))| *ready))
-            .min()
-    }
-
-    /// Conservative lower bound on the absolute time of the next
-    /// *externally visible* event — a response becoming ready for some
-    /// SM — given that future memory steps will run at `next_step`,
-    /// `next_step + period_fs`, and so on at the current VF level.
-    /// Returns [`Femtos::MAX`] when nothing is in flight.
-    ///
-    /// The bound accounts for events the pending steps could *create*,
-    /// not just the responses already heaped:
-    ///
-    /// * a queued interconnect/texture request could hit in L2 on the
-    ///   very next step and respond `l2_latency` cycles later;
-    /// * a request at the DRAM controller responds at least
-    ///   `l2_latency + dram_latency` cycles after the step whose credit
-    ///   refill first covers a line (`jmin` below; requests that reach
-    ///   DRAM *via* an L2 miss are later still, and covered by the
-    ///   interconnect term).
-    ///
-    /// Everything else the queues do inside that span — arbitration,
-    /// L2 state, credit, occupancy tallies — is *internal*: callers
-    /// replaying [`MemSystem::step`] per cycle reproduce it exactly, so
-    /// only the response-delivery edge needs a horizon. Back-pressure
-    /// relaxing ([`MemSystem::can_accept`] flipping) matters only to an
-    /// SM with a staged request, which the engine's SM-side window
-    /// conditions already exclude.
-    pub fn next_event_time(&self, next_step: Femtos, period_fs: Femtos) -> Femtos {
-        let mut t = self.earliest_response_ready().unwrap_or(Femtos::MAX);
-        if !self.icnt.is_empty() || !self.tex.is_empty() {
-            let hit = next_step.saturating_add(Femtos::from(self.l2_latency) * period_fs);
-            t = t.min(hit);
-        }
-        if !self.dram.is_empty() {
-            // First step whose refill can cover a line transfer.
-            let deficit = self.line_bytes.saturating_sub(self.credit);
-            let jmin = deficit.div_ceil(self.bytes_per_cycle.max(1)).max(1);
-            let lat = Femtos::from(self.l2_latency + self.dram_latency) * period_fs;
-            let serviced_at = next_step.saturating_add((jmin - 1).saturating_mul(period_fs));
-            t = t.min(serviced_at.saturating_add(lat));
-        }
-        t
-    }
-
-    /// [`MemSystem::next_event_time`] expressed as a cycle count: the
-    /// largest `h` such that no externally visible event can occur at or
-    /// before `now + h * period_fs`, where the next memory step runs at
-    /// `now + period_fs`. Returns [`u64::MAX`] when nothing is in
-    /// flight.
-    pub fn next_event_horizon(&self, now: Femtos, period_fs: Femtos) -> u64 {
-        let t = self.next_event_time(now.saturating_add(period_fs), period_fs);
-        if t == Femtos::MAX {
-            u64::MAX
-        } else if t <= now {
-            0
-        } else {
-            (t - 1 - now) / period_fs
-        }
-    }
-
     /// Whether all three request queues are empty (responses may still
     /// be pending). In this state [`MemSystem::step`] touches nothing
     /// but the arbitration flip and the credit clamp, which is what
@@ -620,75 +555,6 @@ mod tests {
         m.drain_ready(0, u64::MAX, &mut out);
         assert!(out.is_empty());
         assert_eq!(m.stats()[1].dram_accesses, 1);
-    }
-
-    #[test]
-    fn horizon_unbounded_only_when_nothing_is_in_flight() {
-        let c = cfg();
-        let mut m = MemSystem::new(&c);
-        let period = 1_000_000;
-        assert_eq!(m.next_event_horizon(0, period), u64::MAX);
-        m.inject(load(0, 0x80));
-        // A queued request could hit in L2 on the next step and respond
-        // l2_latency cycles later: horizon = l2_latency ( + 1 step - 1).
-        assert_eq!(m.next_event_horizon(0, period), u64::from(c.l2_latency));
-    }
-
-    #[test]
-    fn horizon_never_overshoots_under_randomized_traffic() {
-        let mut c = cfg();
-        c.icnt_cap = 32;
-        c.dram_queue_cap = 8; // small, so back-pressure paths get exercised
-        c.dram_bytes_per_cycle = 48; // < line_bytes: credit refill matters
-        let mut m = MemSystem::new(&c);
-        let mut rng = crate::util::SplitMix64::new(0xD1CE);
-        let period = 1_000_000u64;
-        let mut t = 0u64;
-        let mut out = Vec::new();
-        for _ in 0..400 {
-            // Random burst of traffic (loads, stores, texture).
-            for _ in 0..rng.next_below(6) {
-                let texture = rng.next_below(4) == 0;
-                if m.can_accept(texture) {
-                    m.inject(MemReq {
-                        sm: rng.next_below(c.num_sms as u64) as usize,
-                        token: rng.next_u64(),
-                        addr: rng.next_below(1 << 20) * 8,
-                        is_load: rng.next_below(4) != 0,
-                        texture,
-                    });
-                }
-            }
-            let h = m.next_event_horizon(t, period);
-            if h == u64::MAX {
-                assert!(m.quiescent(), "unbounded horizon with work in flight");
-            }
-            // Walk through the promised event-free span (capped to keep
-            // the test fast) and check no response matures inside it.
-            let span = h.min(rng.next_below(40) + 1);
-            for _ in 0..span {
-                t += period;
-                m.step(t, VfLevel::Nominal, period);
-                for sm in 0..c.num_sms {
-                    out.clear();
-                    m.drain_ready(sm, t, &mut out);
-                    assert!(
-                        out.is_empty(),
-                        "response ready {} cycle(s) into a {h}-cycle horizon",
-                        out.len()
-                    );
-                }
-            }
-            // Let the system make real progress (and deliver) sometimes.
-            for _ in 0..rng.next_below(60) {
-                t += period;
-                m.step(t, VfLevel::Nominal, period);
-                for sm in 0..c.num_sms {
-                    out.clear();
-                    m.drain_ready(sm, t, &mut out);
-                }
-            }
-        }
     }
 
     #[test]

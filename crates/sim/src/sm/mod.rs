@@ -28,7 +28,7 @@ use std::sync::Arc;
 use crate::cache::Cache;
 use crate::ccws::CcwsState;
 use crate::config::{Femtos, GpuConfig, VfLevel};
-use crate::counters::{CycleSnapshot, WarpState, WarpStateCounters};
+use crate::counters::{CycleSnapshot, WarpStateCounters};
 use crate::gwde::Gwde;
 use crate::kernel::KernelSpec;
 use crate::memsys::MemSystem;
@@ -460,152 +460,6 @@ impl Sm {
             }
         }
         horizon
-    }
-
-    /// Window admission under fast-forward: unlike [`Sm::quiescent`], the
-    /// SM may carry outstanding L1 misses (MSHRs) and scheduled local
-    /// hits into a window — both are inert until something delivers to
-    /// them, and the window caps (memory-event horizon, local-hit cap)
-    /// prove nothing does. What must be clean is everything the per-cycle
-    /// pipeline itself would act on: a queued LSU access would stage
-    /// shared-queue traffic, a staged access or completed block needs the
-    /// commit phase, and an undelivered inbox token needs `respond_local`
-    /// with the token's arrival cycle.
-    pub(crate) fn batch_ready(&self) -> bool {
-        self.lsu.is_empty()
-            && self.pending.is_none()
-            && self.inbox.is_empty()
-            && self.completed_scratch.is_empty()
-    }
-
-    /// The two batching horizons of this SM for a window whose first tick
-    /// completes at `first` (fixed `period_fs`): `(per_tick, fused)`.
-    ///
-    /// `per_tick` bounds windows that still run [`Sm::cycle_local`] every
-    /// tick (the PR 6 discipline, relaxed to [`Sm::batch_ready`]): the
-    /// minimum over schedulable warps of stagger/scoreboard delay plus
-    /// [`Program::issue_runway`], so no shared-state event can occur
-    /// in-window.
-    ///
-    /// `fused` bounds windows that skip the per-cycle pipeline entirely
-    /// and bulk-apply the accounting ([`Sm::fast_forward_window`]): every
-    /// awake warp must be unable to issue for the whole window, i.e. its
-    /// stagger/scoreboard delay alone must cover it. Zero when CCWS is on
-    /// — its issue-mask refresh runs on a fixed cycle cadence inside
-    /// `cycle_local`, which a fused window would skip.
-    ///
-    /// Both horizons are capped by the earliest scheduled local L1 hit:
-    /// a maturing hit delivers a result and wakes a warp, which is an
-    /// in-window event for the fused path and would invalidate the
-    /// sleeping-warp exemption for both. Warps asleep on outstanding
-    /// loads are otherwise exempt — the engine's memory-event horizon
-    /// plus the empty inbox ([`Sm::batch_ready`]) prove no response can
-    /// reach them in-window.
-    ///
-    /// `min` is the shortest window the engine would open: the scan
-    /// stops as soon as neither horizon can reach it, and the returned
-    /// pair is then only guaranteed to be below `min`.
-    pub(crate) fn window_horizons(&self, first: Femtos, period_fs: Femtos, min: u64) -> (u64, u64) {
-        if !self.completed_scratch.is_empty() {
-            return (0, 0);
-        }
-        let Some(program) = self.program.as_deref() else {
-            return (u64::MAX, u64::MAX);
-        };
-        let lr_cap = match self.local_ready.peek() {
-            Some(Reverse((ready, _))) => {
-                crate::clock::ticks_strictly_before(first, period_fs, *ready)
-            }
-            None => u64::MAX,
-        };
-        let mut per_tick_h = lr_cap;
-        let mut fused_h = if self.ccws.is_some() { 0 } else { lr_cap };
-        for warp in self.warps.iter().flatten() {
-            if per_tick_h < min && fused_h < min {
-                break;
-            }
-            if warp.finished {
-                continue;
-            }
-            if self.blocks[warp.block_slot]
-                .as_ref()
-                .is_some_and(|b| b.paused)
-            {
-                continue;
-            }
-            if warp.at_barrier {
-                // Barrier release is SM-local and can happen in-window
-                // (per-tick only): bound by the runway from the advanced pc.
-                // No fused constraint — release needs a sibling to
-                // execute `Sync`, and nothing issues in a fused window.
-                per_tick_h = per_tick_h.min(program.issue_runway(warp.pc, warp.block_index));
-            } else if warp.pending_loads > 0 {
-                // Asleep on outstanding loads; inert for the whole window
-                // (see above).
-            } else {
-                let d = u64::from(warp.stagger).max(crate::clock::ticks_strictly_before(
-                    first,
-                    period_fs,
-                    warp.ready_at,
-                ));
-                fused_h = fused_h.min(d);
-                per_tick_h = per_tick_h
-                    .min(d.saturating_add(program.issue_runway(warp.pc, warp.block_index)));
-            }
-        }
-        (per_tick_h, fused_h)
-    }
-
-    /// Bulk-applies `w` cycles in which this SM provably does nothing:
-    /// every awake warp is stalled for the whole window (see
-    /// [`Sm::window_horizons`]), so each per-tick [`Sm::cycle_local`] +
-    /// [`Sm::account_cycle`] pair reduces to the same all-waiting
-    /// snapshot, a cycle-counter increment and a stagger decrement. The
-    /// additions are plain (not saturating) and the sample count is
-    /// derived from the same `is_multiple_of` cadence, so the result is
-    /// bit-identical to `w` per-tick iterations.
-    pub(crate) fn fast_forward_window(&mut self, w: u64, level: VfLevel) {
-        debug_assert!(w >= 1, "empty fused window");
-        debug_assert!(self.batch_ready(), "fused window on a busy pipeline");
-        let mut snap = CycleSnapshot::default();
-        let sub = u32::try_from(w).unwrap_or(u32::MAX);
-        for ws in 0..self.warps.len() {
-            let blocks = &self.blocks;
-            let Some(warp) = self.warps[ws].as_mut() else {
-                continue;
-            };
-            if blocks[warp.block_slot].as_ref().is_some_and(|b| b.paused) {
-                continue;
-            }
-            if warp.finished || warp.at_barrier {
-                snap.record(WarpState::Others);
-                continue;
-            }
-            snap.record(WarpState::Waiting);
-            if warp.stagger > 0 {
-                warp.stagger = warp.stagger.saturating_sub(sub);
-                if warp.stagger == 0 {
-                    self.staggered -= 1;
-                }
-            }
-        }
-        self.snapshot = snap;
-        self.ready_set.stale = true;
-        let c0 = self.cycles;
-        self.cycles += w;
-        if snap.active > 0 || self.busy() {
-            self.events[level.index()].busy_cycles += w;
-        }
-        self.epoch.cycles += w;
-        self.run_total.cycles += w;
-        // snap.issued == 0 by construction: every cycle is idle.
-        self.epoch.idle_cycles += w;
-        self.run_total.idle_cycles += w;
-        let k = (c0 + w) / self.sample_interval - c0 / self.sample_interval;
-        if k > 0 {
-            self.epoch.sample_n(&snap, k);
-            self.run_total.sample_n(&snap, k);
-        }
     }
 
     /// Serializes the SM's dynamic state (warps, blocks, LD/ST queue,

@@ -30,9 +30,9 @@
 //! result-affecting field of the configuration, kernel and options, so
 //! restoring under a different machine fails up front with
 //! [`SnapshotError::MachineMismatch`] instead of silently diverging.
-//! Wall-clock-only knobs ([`SimOptions::max_batch_ticks`],
-//! [`SimOptions::fast_forward`]) are excluded: a snapshot taken with
-//! batching on restores bit-identically with it off, and vice versa.
+//! The wall-clock-only [`SimOptions::fast_forward`] switch is excluded:
+//! a snapshot taken with the fast paths on restores bit-identically on
+//! the reference stepper, and vice versa.
 //!
 //! Canonical-form rules keep the bytes deterministic:
 //!
@@ -494,10 +494,10 @@ fn fold_clock_config(fold: &mut Fold, c: &ClockConfig) {
 /// Fingerprint of the machine a snapshot belongs to: configuration,
 /// kernel identity and every *result-affecting* option.
 ///
-/// `max_batch_ticks` and `fast_forward` are wall-clock-only knobs —
-/// every fast path is bit-identical to the plain per-tick stepper — so
-/// they are deliberately excluded: a snapshot taken with batching on
-/// restores with it off (and vice versa). The exhaustive destructuring
+/// `fast_forward` is a wall-clock-only switch — every fast path is
+/// bit-identical to the plain per-tick stepper — so it is deliberately
+/// excluded: a snapshot taken with the fast paths on restores with them
+/// off (and vice versa). The exhaustive destructuring
 /// of [`SimOptions`] below keeps that exclusion a conscious decision
 /// when new options appear.
 pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &SimOptions) -> u64 {
@@ -507,8 +507,7 @@ pub fn machine_fingerprint(config: &GpuConfig, kernel: &KernelSpec, options: &Si
     let SimOptions {
         max_cycles_per_invocation,
         record_epochs,
-        max_batch_ticks: _, // wall-clock only: batching never changes results
-        fast_forward: _,    // wall-clock only: fast-forward never changes results
+        fast_forward: _, // wall-clock only: fast paths never change results
     } = options;
     fold.add(*max_cycles_per_invocation);
     fold.add(u64::from(*record_epochs));
@@ -790,7 +789,6 @@ mod tests {
         let base = SimOptions::default();
         let fp = machine_fingerprint(&config, &kernel, &base);
         let reference = SimOptions {
-            max_batch_ticks: 1,
             fast_forward: !base.fast_forward,
             ..base
         };

@@ -49,7 +49,7 @@ pub struct InvocationStats {
 /// compare equal, and an attached observer must not change the result.
 /// The one exception is [`RunStats::batched_ticks`]: it is a wall-clock
 /// diagnostic (how often the tick-batching fast path engaged) that
-/// legitimately varies with `SimOptions::max_batch_ticks`, so the manual
+/// legitimately varies with `SimOptions::fast_forward`, so the manual
 /// [`PartialEq`] below excludes it.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
@@ -74,11 +74,9 @@ pub struct RunStats {
     /// SM ticks executed inside provably interaction-free batched
     /// windows (see `Engine::batched_ticks`). Divide by total SM cycles
     /// (`sm_cycles_at` summed × `num_sms`) for the batch-window hit
-    /// rate. Counts both per-SM windows and fused stall windows (see
-    /// `Engine::batch_window_stats` for the split). Diagnostic only:
-    /// varies with
-    /// `SimOptions::max_batch_ticks` and `SimOptions::fast_forward`,
-    /// and is excluded from equality.
+    /// rate (`Engine::batch_window_stats` has the full breakdown).
+    /// Diagnostic only: varies with `SimOptions::fast_forward`, and is
+    /// excluded from equality.
     pub batched_ticks: u64,
     /// Epochs the engine executed, whether or not they were recorded
     /// into [`RunStats::epochs`] (`record_epochs` may be off).

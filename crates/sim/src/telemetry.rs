@@ -20,30 +20,20 @@ pub const WINDOW_SIZE_BUCKETS: usize = 11;
 /// order the proof obligations are checked by `Engine`.
 ///
 /// The length-based reasons ([`BatchClose::EpochOrCycleCap`],
-/// [`BatchClose::MemHorizon`], [`BatchClose::IssueRunway`]) mean "below
-/// break-even": the bound left room for fewer than
-/// [`crate::engine::MIN_WINDOW_TICKS`] ticks, a window the engine
-/// refuses even when it could prove a shorter one.
+/// [`BatchClose::IssueRunway`]) mean "below break-even": the bound left
+/// room for fewer than [`crate::engine::MIN_WINDOW_TICKS`] ticks, a
+/// window the engine refuses even when it could prove a shorter one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchClose {
-    /// Batching is off for this machine: per-SM VRMs, or the
-    /// `max_batch_ticks` knob is below
-    /// [`crate::engine::MIN_WINDOW_TICKS`].
+    /// Batching is off for this run: `SimOptions::fast_forward` is off
+    /// (the reference stepper) or the SMs have per-SM VRMs.
     Disabled,
     /// A VF transition is pending on the SM or memory domain, so
     /// in-window tick times cannot be frozen.
     VfTransition,
     /// The memory system is not quiescent: a delivery could reach an SM
-    /// inside the window. Only reported with `SimOptions::fast_forward`
-    /// off (the PR 6 blanket check); with it on, memory-active ticks
-    /// close as [`BatchClose::MemHorizon`] instead, and only when the
-    /// horizon is genuinely short.
+    /// inside the window.
     MemoryActive,
-    /// The memory system's next-event horizon is below break-even: a
-    /// response could become ready for some SM within any window of at
-    /// least [`crate::engine::MIN_WINDOW_TICKS`] ticks
-    /// ([`crate::memsys::MemSystem::next_event_time`]).
-    MemHorizon,
     /// The distance to the next epoch boundary or to the cycle-limit
     /// check is below break-even: it leaves no room for a window of at
     /// least [`crate::engine::MIN_WINDOW_TICKS`] ticks.
@@ -51,30 +41,24 @@ pub enum BatchClose {
     /// Some SM is not quiescent (staged access or non-empty queues).
     SmActive,
     /// The grid is fully dispatched and every SM is idle: the invocation
-    /// ends as soon as memory drains, which the memory horizon does not
-    /// bound, so every remaining tick runs the termination check.
+    /// ends on the next tick's termination check, which a window would
+    /// skip.
     Draining,
     /// Some SM's issue runway ([`crate::sm::Sm::batch_horizon`]) is
     /// below break-even: a schedulable warp could reach memory or retire
-    /// (or, for a fused window, issue) within
-    /// [`crate::engine::MIN_WINDOW_TICKS`] ticks.
+    /// within [`crate::engine::MIN_WINDOW_TICKS`] ticks.
     IssueRunway,
 }
 
 /// What capped the length of a window that did open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowBound {
-    /// The `max_batch_ticks` knob itself.
-    Knob,
     /// The next epoch boundary.
     EpochCap,
     /// The cycle-limit check.
     LimitCap,
     /// The shortest per-SM issue runway.
     Horizon,
-    /// The memory system's next-event horizon: the window ends strictly
-    /// before the earliest cycle at which a response could be ready.
-    MemHorizon,
 }
 
 /// The engine's breakdown of tick batching: window sizes, what bounded
@@ -95,29 +79,18 @@ pub struct BatchWindowStats {
     /// Window-size distribution over log2 buckets; see
     /// [`WINDOW_SIZE_BUCKETS`].
     pub size_histogram: [u64; WINDOW_SIZE_BUCKETS],
-    /// Windows whose length was capped by the `max_batch_ticks` knob.
-    pub bounded_by_knob: u64,
     /// Windows capped by the next epoch boundary.
     pub bounded_by_epoch: u64,
     /// Windows capped by the cycle-limit check.
     pub bounded_by_limit: u64,
     /// Windows capped by the shortest per-SM issue runway.
     pub bounded_by_horizon: u64,
-    /// Windows capped by the memory system's next-event horizon.
-    pub bounded_by_mem_horizon: u64,
-    /// Fused fast-forward windows (all SMs provably stalled, per-cycle
-    /// work skipped entirely) — a subset of `windows`.
-    pub fused_windows: u64,
-    /// SM ticks inside fused windows — a subset of `ticks`.
-    pub fused_ticks: u64,
-    /// Per-tick fallbacks: batching disabled for the machine.
+    /// Per-tick fallbacks: batching disabled for the run.
     pub closed_disabled: u64,
     /// Per-tick fallbacks: pending VF transition.
     pub closed_vf_transition: u64,
-    /// Per-tick fallbacks: memory system active (fast-forward off only).
+    /// Per-tick fallbacks: memory system active.
     pub closed_memory_active: u64,
-    /// Per-tick fallbacks: the memory next-event horizon was too short.
-    pub closed_mem_horizon: u64,
     /// Per-tick fallbacks: epoch/cycle cap left no room.
     pub closed_epoch_or_cycle_cap: u64,
     /// Per-tick fallbacks: an SM was not quiescent.
@@ -130,28 +103,21 @@ pub struct BatchWindowStats {
 }
 
 impl BatchWindowStats {
-    /// Records a window of `w` ticks whose length was capped by `bound`;
-    /// `fused` marks the fully-stalled fast-forward kind.
-    pub(crate) fn record_window(&mut self, w: u64, bound: WindowBound, fused: bool) {
+    /// Records a window of `w` ticks whose length was capped by `bound`.
+    pub(crate) fn record_window(&mut self, w: u64, bound: WindowBound) {
         self.windows += 1;
         // Saturating: a diagnostic must never abort a run, and the sum
         // can only saturate when `w` itself is near the u64 horizon.
         self.ticks = self.ticks.saturating_add(w);
-        if fused {
-            self.fused_windows += 1;
-            self.fused_ticks = self.fused_ticks.saturating_add(w);
-        }
         // Clamped to 2 so floor(log2(w)) >= 1; the engine only records
         // windows of at least MIN_WINDOW_TICKS.
         let log2 = 63 - u64::leading_zeros(w.max(2)) as usize;
         let bucket = (log2 - 1).min(WINDOW_SIZE_BUCKETS - 1);
         self.size_histogram[bucket] += 1;
         match bound {
-            WindowBound::Knob => self.bounded_by_knob += 1,
             WindowBound::EpochCap => self.bounded_by_epoch += 1,
             WindowBound::LimitCap => self.bounded_by_limit += 1,
             WindowBound::Horizon => self.bounded_by_horizon += 1,
-            WindowBound::MemHorizon => self.bounded_by_mem_horizon += 1,
         }
     }
 
@@ -161,7 +127,6 @@ impl BatchWindowStats {
             BatchClose::Disabled => self.closed_disabled += 1,
             BatchClose::VfTransition => self.closed_vf_transition += 1,
             BatchClose::MemoryActive => self.closed_memory_active += 1,
-            BatchClose::MemHorizon => self.closed_mem_horizon += 1,
             BatchClose::EpochOrCycleCap => self.closed_epoch_or_cycle_cap += 1,
             BatchClose::SmActive => self.closed_sm_active += 1,
             BatchClose::Draining => self.closed_draining += 1,
@@ -174,7 +139,6 @@ impl BatchWindowStats {
         self.closed_disabled
             + self.closed_vf_transition
             + self.closed_memory_active
-            + self.closed_mem_horizon
             + self.closed_epoch_or_cycle_cap
             + self.closed_sm_active
             + self.closed_draining
@@ -189,32 +153,20 @@ mod tests {
     #[test]
     fn window_sizes_land_in_log2_buckets() {
         let mut stats = BatchWindowStats::default();
-        stats.record_window(2, WindowBound::Knob, false);
-        stats.record_window(3, WindowBound::Knob, false);
-        stats.record_window(4, WindowBound::EpochCap, false);
-        stats.record_window(1024, WindowBound::Knob, false);
-        stats.record_window(u64::MAX, WindowBound::Horizon, false);
+        stats.record_window(2, WindowBound::EpochCap);
+        stats.record_window(3, WindowBound::EpochCap);
+        stats.record_window(4, WindowBound::LimitCap);
+        stats.record_window(1024, WindowBound::EpochCap);
+        stats.record_window(u64::MAX, WindowBound::Horizon);
         assert_eq!(stats.size_histogram[0], 2, "2 and 3 share the first bucket");
         assert_eq!(stats.size_histogram[1], 1);
         assert_eq!(stats.size_histogram[9], 1, "1024 = 2^10");
         assert_eq!(stats.size_histogram[WINDOW_SIZE_BUCKETS - 1], 1);
         assert_eq!(stats.windows, 5);
-        assert_eq!(stats.bounded_by_knob, 3);
-        assert_eq!(stats.bounded_by_epoch, 1);
+        assert_eq!(stats.ticks, u64::MAX, "the tick sum saturates");
+        assert_eq!(stats.bounded_by_epoch, 3);
+        assert_eq!(stats.bounded_by_limit, 1);
         assert_eq!(stats.bounded_by_horizon, 1);
-        assert_eq!(stats.fused_windows, 0);
-    }
-
-    #[test]
-    fn fused_windows_and_mem_horizon_bounds_are_tracked() {
-        let mut stats = BatchWindowStats::default();
-        stats.record_window(16, WindowBound::MemHorizon, true);
-        stats.record_window(8, WindowBound::Knob, false);
-        assert_eq!(stats.windows, 2);
-        assert_eq!(stats.ticks, 24);
-        assert_eq!(stats.fused_windows, 1);
-        assert_eq!(stats.fused_ticks, 16);
-        assert_eq!(stats.bounded_by_mem_horizon, 1);
     }
 
     #[test]
@@ -223,12 +175,10 @@ mod tests {
         stats.record_close(BatchClose::Disabled);
         stats.record_close(BatchClose::MemoryActive);
         stats.record_close(BatchClose::MemoryActive);
-        stats.record_close(BatchClose::MemHorizon);
         stats.record_close(BatchClose::IssueRunway);
         stats.record_close(BatchClose::Draining);
         assert_eq!(stats.closed_memory_active, 2);
-        assert_eq!(stats.closed_mem_horizon, 1);
         assert_eq!(stats.closed_draining, 1);
-        assert_eq!(stats.closes_total(), 6);
+        assert_eq!(stats.closes_total(), 5);
     }
 }

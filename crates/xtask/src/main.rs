@@ -20,11 +20,12 @@
 //!   the effect-analysis pass (its JSON report lands in
 //!   `target/analyze-report.json`), a `sim-report` artifact smoke test,
 //!   the fast-forward gate (`sim-ffcheck`: bit-identical `RunStats`
-//!   with `SimOptions::fast_forward` on vs off under every governor,
-//!   ≥ 50% batched-tick coverage on a stall-heavy workload, and a
-//!   ≥ 1.5× median serial speedup on 15-SM `mri-q`), the serving-layer
-//!   smoke test, and a formatting check (skipped with a warning when
-//!   rustfmt is absent).
+//!   between default options and the reference stepper
+//!   (`SimOptions::fast_forward` off) under every governor, ≥ 50%
+//!   batched-tick coverage on a stall-heavy workload, and a ≥ 1.5×
+//!   median serial speedup over the reference on 15-SM `mri-q`), the
+//!   serving-layer smoke test, and a formatting check (skipped with a
+//!   warning when rustfmt is absent).
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -227,9 +228,11 @@ fn cmd_ci() -> i32 {
     let cargo = env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
 
     // `--workspace` gates every crate's own unit and integration tests,
-    // not only the root package's suite.
+    // not only the root package's suite. The build covers the whole
+    // workspace too: the serve smoke below spawns the harness's release
+    // `sim-serve`, `sim-load` and `sim-stat` binaries directly.
     let steps: &[(&str, &[&str])] = &[
-        ("build", &["build", "--release"]),
+        ("build", &["build", "--release", "--workspace"]),
         ("test", &["test", "-q", "--workspace"]),
         (
             "test (validate)",
@@ -326,16 +329,15 @@ fn cmd_ci() -> i32 {
         return 1;
     }
 
-    // Fast-forward gate: the event-driven batching must be invisible in
-    // results and visible in wall clock. `sim-ffcheck` runs in-process
-    // simulations asserting (1) RunStats bit-identity between
-    // `fast_forward` on and off under every governor family, (2) >= 50%
-    // batched-tick coverage on a stall-heavy workload (and
-    // strictly-better-than-quiescence coverage on the issue-saturated
-    // `mri-q`, which cannot reach 50%), and (3) a >= 1.5x median serial
-    // speedup on 15-SM `mri-q` over interleaved on/off pairs. A single
-    // core is enough: the fast path skips work rather than spreading
-    // it, so this gate never skips.
+    // Fast-forward gate: the ready-set issue walk and the runway windows
+    // must be invisible in results and visible in wall clock.
+    // `sim-ffcheck` runs in-process simulations asserting (1) RunStats
+    // bit-identity between default options and the reference stepper
+    // (`fast_forward` off) under every governor family, (2) >= 50%
+    // batched-tick coverage on a stall-heavy workload, and (3) a >= 1.5x
+    // median serial speedup over the reference on 15-SM `mri-q` across
+    // interleaved pairs. A single core is enough: the fast paths skip
+    // work rather than spreading it, so this gate never skips.
     if !run_step(
         &cargo,
         "fast-forward gate (sim-ffcheck)",

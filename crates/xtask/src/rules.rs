@@ -179,16 +179,10 @@ fn json_str(s: &str) -> String {
 const LOCAL_ROOT: &str = "cycle_local";
 const COMMIT_ROOTS: &[&str] = &["commit", "cycle"];
 /// Roots of the SM stepping hot path: the two cycle phases (and their
-/// fused serial form), the engine's per-tick driver and the pool's
-/// worker body. `lock-order` walks everything reachable from whichever
-/// of these the universe defines.
-const HOT_PATH_ROOTS: &[&str] = &[
-    "cycle_local",
-    "commit",
-    "cycle",
-    "step_running",
-    "worker_loop",
-];
+/// combined per-tick form) and the engine's stepping driver.
+/// `lock-order` walks everything reachable from whichever of these the
+/// universe defines.
+const HOT_PATH_ROOTS: &[&str] = &["cycle_local", "commit", "cycle", "step_running"];
 
 /// Effects that make a local-phase function impure. `FloatAccum` alone
 /// is excluded: an ordered float reduction is deterministic, and the
@@ -293,13 +287,14 @@ fn rule_commit_only_mutation(
     }
 }
 
-/// `lock-order`: the partitioned pool's discipline is "no locks on the
-/// SM hot path". Shards are owned outright by exactly one thread, the
-/// dispatch hand-off is an atomic epoch counter, and shared mutation
-/// happens only in the serial commit phase — so any `Mutex`/`RwLock`
+/// `lock-order`: "no locks on the SM hot path". The engine owns its SMs
+/// and memory system outright and steps them serially, and shared
+/// mutation happens only in the commit phase — so any `Mutex`/`RwLock`
 /// named (or `.lock()` acquired) in a function reachable from a
-/// hot-path root reintroduces exactly the blocking, contention and
-/// poisoning modes the partition refactor removed. The walk is
+/// hot-path root adds per-tick locking cost and, if the machine state
+/// were ever shared across threads, the blocking, contention and
+/// poisoning failure modes that come with it. Locks belong to the
+/// serving layer around the engine, never inside a tick. The walk is
 /// transitive over the call graph, so a lock three helpers deep is
 /// found.
 fn rule_lock_order(model: &Model, out: &mut Vec<AnalysisFinding>) {
@@ -351,10 +346,10 @@ fn scan_lock_body(def: &FnDef, model: &Model, out: &mut Vec<AnalysisFinding>) {
             line,
             function: def.display_name(),
             message: format!(
-                "uses `{what}` on the SM stepping hot path; SM shards are owned \
-                 by exactly one thread with atomic epoch-counter hand-off, so \
-                 blocking locks are banned from everything reachable from \
-                 `cycle_local`/`commit`/`cycle`/`step_running`/`worker_loop`"
+                "uses `{what}` on the SM stepping hot path; the engine owns and \
+                 steps its machine state serially, so locks are banned from \
+                 everything reachable from \
+                 `cycle_local`/`commit`/`cycle`/`step_running`"
             ),
         });
     }
@@ -540,22 +535,23 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "lock-order",
         "lock-order (error)\n\
          \n\
-         Why: the partitioned pool gives each thread outright ownership of\n\
-         its SM shard and synchronises dispatch with atomic epoch counters,\n\
-         so the SM stepping hot path — everything reachable from\n\
-         `cycle_local`, `commit`, `cycle`, `step_running` or `worker_loop` —\n\
-         is lock-free by construction. A `Mutex`/`RwLock` (or any `.lock()`\n\
-         acquisition) on that path reintroduces the blocking, contention\n\
-         and poisoning failure modes the partition refactor removed.\n\
+         Why: the engine owns its SMs and memory system outright and steps\n\
+         them serially, so the SM stepping hot path — everything reachable\n\
+         from `cycle_local`, `commit`, `cycle` or `step_running` — is\n\
+         lock-free by construction. A `Mutex`/`RwLock` (or any `.lock()`\n\
+         acquisition) on that path adds locking cost to every tick and\n\
+         brings the blocking, contention and poisoning failure modes of\n\
+         shared machine state. Locks belong to the serving layer around\n\
+         the engine.\n\
          \n\
          Violation:\n\
              fn commit(&mut self, mem: &mut MemSystem) {\n\
                  let _g = self.shared.lock();   // flagged\n\
              }\n\
          \n\
-         Fix: keep shared mutation in the serial commit phase, extend the\n\
-         partition hand-off instead of locking, or justify a deliberate\n\
-         lock with `// lint: allow(lock-order) -- <why it cannot block>`.",
+         Fix: keep shared mutation in the commit phase, move the lock out\n\
+         to the caller that owns the engine, or justify a deliberate lock\n\
+         with `// lint: allow(lock-order) -- <why it cannot block>`.",
     ),
     (
         "float-accum-order",
@@ -709,10 +705,10 @@ fn rogue(_mem: &mut MemSystem) {}
 
     #[test]
     fn lock_order_flags_locks_reachable_from_the_hot_path() {
-        // The `.lock()` lives two calls deep from the worker body — only
-        // the transitive walk can see it.
+        // The `.lock()` lives two calls deep from the engine's stepping
+        // driver — only the transitive walk can see it.
         let src = "\
-fn worker_loop(parts: &[P]) {
+fn step_running(parts: &[P]) {
     for p in parts {
         service(p);
     }

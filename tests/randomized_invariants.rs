@@ -128,7 +128,6 @@ fn random_kernels_match_the_per_tick_stepper() {
 
     let reference = SimOptions {
         fast_forward: false,
-        max_batch_ticks: 1,
         ..SimOptions::default()
     };
     let run = |config: &GpuConfig, kernel: &KernelSpec, options: SimOptions, case: usize| {
@@ -242,7 +241,6 @@ fn random_kernels_match_the_reference_under_every_governor() {
     ];
     let reference = SimOptions {
         fast_forward: false,
-        max_batch_ticks: 1,
         ..SimOptions::default()
     };
     let run = |make: fn(GpuConfig) -> (GpuConfig, Box<dyn Governor>),

@@ -1,15 +1,13 @@
 //! Every fast path is a pure wall-clock optimisation: with default
-//! options (ready-set issue walk, event-driven fast-forward, batched and
-//! fused windows) the engine must produce bit-identical `RunStats` —
-//! epoch timelines included — to the reference stepper, the plain
-//! per-tick serial path with every fast path off. These tests pin that
-//! across the tier-1 workloads, Equalizer, MSHR pressure, the
-//! per-SM-VRM machine, runs with mid-run VF transitions and the full
-//! 15-SM machine.
+//! options (ready-set issue walk and quiescence-gated runway windows)
+//! the engine must produce bit-identical `RunStats` — epoch timelines
+//! included — to the reference stepper, the plain per-tick serial path
+//! with `fast_forward` off. These tests pin that across the tier-1
+//! workloads, Equalizer, MSHR pressure, the per-SM-VRM machine, runs
+//! with mid-run VF transitions, the full 15-SM machine and prtcl-2, the
+//! catalog kernel that runs mostly inside windows.
 
 use std::sync::Arc;
-
-use equalizer_sim::engine::{Engine, StepEvent};
 
 use equalizer_core::{Equalizer, Mode};
 use equalizer_sim::governor::{
@@ -26,7 +24,6 @@ use equalizer_workloads::kernel_by_name;
 fn reference() -> SimOptions {
     SimOptions {
         fast_forward: false,
-        max_batch_ticks: 1,
         ..SimOptions::default()
     }
 }
@@ -35,8 +32,15 @@ fn reference() -> SimOptions {
 /// each with a fresh governor from `make_gov`, asserting the complete
 /// statistics are bit-identical. `batched_ticks` is zeroed on both
 /// sides so a failure's diff shows only simulated state: it is the one
-/// field that describes the fast paths rather than the machine.
-fn assert_matches_reference<G, F>(name: &str, config: &GpuConfig, kernel: &KernelSpec, make_gov: F)
+/// field that describes the fast paths rather than the machine. Returns
+/// the default run's statistics with `batched_ticks` restored, so
+/// callers can require that windows actually opened.
+fn assert_matches_reference<G, F>(
+    name: &str,
+    config: &GpuConfig,
+    kernel: &KernelSpec,
+    make_gov: F,
+) -> RunStats
 where
     G: Governor,
     F: Fn() -> G,
@@ -50,12 +54,15 @@ where
     );
     let mut fast = simulate_with(config, kernel, &mut make_gov(), SimOptions::default())
         .unwrap_or_else(|e| panic!("{name}: default run failed: {e}"));
+    let batched = fast.batched_ticks;
     reference.batched_ticks = 0;
     fast.batched_ticks = 0;
     assert_eq!(
         reference, fast,
         "{name}: default options diverged from the reference stepper"
     );
+    fast.batched_ticks = batched;
+    fast
 }
 
 #[test]
@@ -197,16 +204,6 @@ fn full_machine_matches_the_reference() {
     assert_matches_reference("uneven", &config, &kernel, || StaticGovernor);
 }
 
-/// Runs `kernel` through a hand-stepped [`Engine`], returning the final
-/// stats and the number of SM ticks executed inside batched windows.
-fn engine_run(config: &GpuConfig, kernel: &KernelSpec, options: SimOptions) -> (RunStats, u64) {
-    let mut engine = Engine::new(config, kernel, options).unwrap();
-    while engine.step(&mut StaticGovernor).unwrap() != StepEvent::Complete {}
-    let stats = engine.stats();
-    let batched = engine.batched_ticks();
-    (stats, batched)
-}
-
 #[test]
 fn tick_batching_is_bit_identical_to_per_tick() {
     let mut config = GpuConfig::gtx480();
@@ -214,7 +211,9 @@ fn tick_batching_is_bit_identical_to_per_tick() {
 
     // A long pure-ALU kernel: once the initial loads drain, every warp
     // is provably memory-free for thousands of cycles, so windows must
-    // actually open (the batched-tick counter is asserted below).
+    // actually open. (Refusing windows across in-flight memory and
+    // pending VF transitions is covered by
+    // `mid_run_vf_transitions_match_the_reference`.)
     let alu = KernelSpec::new(
         "batch-alu",
         KernelCategory::Compute,
@@ -228,29 +227,24 @@ fn tick_batching_is_bit_identical_to_per_tick() {
             )])),
         }],
     );
-    let per_tick = SimOptions {
-        max_batch_ticks: 1,
-        ..SimOptions::default()
-    };
-    let (base, base_batched) = engine_run(&config, &alu, per_tick);
-    assert_eq!(base_batched, 0, "max_batch_ticks=1 must disable batching");
-    let (batched, batched_ticks) = engine_run(&config, &alu, SimOptions::default());
+    let stats = assert_matches_reference("batch-alu", &config, &alu, || StaticGovernor);
     assert!(
-        batched_ticks > 0,
+        stats.batched_ticks > 0,
         "a pure-ALU kernel must open batched windows"
     );
-    assert_eq!(base, batched, "batched windows diverged from per-tick");
+}
 
-    // A load/sync kernel with mid-run VF transitions: windows are rare
-    // and must refuse to open across in-flight memory or pending
-    // transitions — results stay bit-identical either way.
-    let mix = vf_mix_kernel();
-    let mk = |max_batch_ticks| SimOptions {
-        max_batch_ticks,
-        ..SimOptions::default()
-    };
-    let serial = simulate_with(&config, &mix, &mut BoostThenThrottle::default(), mk(1)).unwrap();
-    let windowed =
-        simulate_with(&config, &mix, &mut BoostThenThrottle::default(), mk(1024)).unwrap();
-    assert_eq!(serial, windowed, "vf-mix diverged under batching");
+#[test]
+fn prtcl2_runs_mostly_inside_windows_and_matches_the_reference() {
+    // The one Table II kernel whose ticks mostly batch: if windows
+    // silently stop opening, the coverage bound below fails.
+    let config = GpuConfig::gtx480();
+    let kernel = kernel_by_name("prtcl-2").unwrap();
+    let stats = assert_matches_reference("prtcl-2", &config, &kernel, || StaticGovernor);
+    let ticks: u64 = stats.sm_cycles_at.iter().sum();
+    assert!(
+        2 * stats.batched_ticks >= ticks,
+        "prtcl-2: {} of {ticks} SM ticks batched, under half",
+        stats.batched_ticks
+    );
 }

@@ -57,16 +57,28 @@ fn run_reports_coherent_window_diagnostics() {
         "every window lands in exactly one size bucket"
     );
     assert_eq!(
-        windows.bounded_by_knob
-            + windows.bounded_by_epoch
-            + windows.bounded_by_limit
-            + windows.bounded_by_horizon,
+        windows.bounded_by_epoch + windows.bounded_by_limit + windows.bounded_by_horizon,
         windows.windows,
         "every window records exactly one binding bound"
     );
     assert!(
         windows.closes_total() > 0,
         "memory phases must close some windows"
+    );
+
+    // The reference stepper (`fast_forward` off) opens no window: every
+    // SM step is a per-tick fallback with batching disabled.
+    let reference = SimOptions {
+        fast_forward: false,
+        ..SimOptions::default()
+    };
+    let (_, off) = stepped_run(&config, &kernel, reference);
+    assert_eq!(off.windows, 0, "the reference opened a window");
+    assert_eq!(off.closed_disabled, off.closes_total());
+    assert_eq!(
+        off.closes_total(),
+        stats.sm_cycles_at.iter().sum::<u64>(),
+        "one fallback per SM tick"
     );
 }
 
@@ -77,9 +89,11 @@ fn batch_window_stats_are_deterministic() {
     // hand-stepped counts exactly.
     let mut config = GpuConfig::gtx480();
     config.num_sms = 4;
-    let kernel = kernel_by_name("cfd-2").unwrap();
+    // prtcl-2 is the catalog kernel whose ticks mostly batch, so the
+    // diagnostic has windows, bounds and closes to reproduce.
+    let kernel = kernel_by_name("prtcl-2").unwrap();
     let (stats, base) = stepped_run(&config, &kernel, SimOptions::default());
-    assert!(base.windows > 0, "cfd-2 must open windows");
+    assert!(base.windows > 0, "prtcl-2 must open windows");
     let (repeat_stats, repeat) = stepped_run(&config, &kernel, SimOptions::default());
     assert_eq!(stats, repeat_stats);
     assert_eq!(base, repeat, "a repeat run changed the window diagnostic");

@@ -55,9 +55,11 @@ mod armed {
 
     /// The feature must actually reach the simulator crate through the
     /// workspace feature forwarding, not just exist on the umbrella.
+    /// Checked at compile time: without the forwarding this test does
+    /// not build.
     #[test]
     fn validate_feature_is_forwarded_to_the_simulator() {
-        assert!(equalizer_sim::VALIDATE_ENABLED);
+        const { assert!(equalizer_sim::VALIDATE_ENABLED) };
     }
 
     /// The energy sanitizer must reject statistics whose per-level
